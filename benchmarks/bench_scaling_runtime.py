@@ -11,6 +11,14 @@ the three dominant kernels as the graph grows:
 Shape expectation: all three grow roughly linearly in |E| -- the ratio
 time/|E| stays within a small band across sizes (no quadratic blow-up).
 
+``test_scaling_default_config`` runs end-to-end ``anonymize`` in the
+paper's default RSME configuration (c = 1.3, 5 trials, 400 relevance
+samples) at two sizes a decade apart, times three layers inside it --
+reliability relevance, candidate selection and the (k, epsilon) check --
+and records the log-log slope of each against |E|: the default path
+must stay near-linear.
+Every published graph is re-certified by the full checker.
+
 ``test_large_world_budget`` (marked ``large_scale``) is the memory-budget
 acceptance run: a synthetic 10^5-node / >=10^6-edge graph anonymized
 end-to-end with the sharded memmap world store capped well below the
@@ -29,7 +37,12 @@ import pytest
 from _harness import SEED, emit, format_table, table_data
 from repro.core import ChameleonConfig, build_selection_context, gen_obf
 from repro.datasets import load_profile
-from repro.privacy import check_obfuscation, expected_degree_knowledge
+from repro.core import genobf, parallel
+from repro.privacy import (
+    DegreeUncertaintyCache,
+    check_obfuscation,
+    expected_degree_knowledge,
+)
 from repro.reliability import edge_reliability_relevance
 
 _SCALES = (0.25, 0.5, 1.0, 2.0)
@@ -85,6 +98,92 @@ def test_scaling_runtime(benchmark):
     assert max(per_edge) < 8 * min(per_edge)
     # Absolute sanity: the biggest graph's ERR pass stays interactive.
     assert rows[-1][2] < 30.0
+
+
+# --------------------------------------------------------------------- #
+# Default-configuration anonymize at two sizes
+# --------------------------------------------------------------------- #
+
+_DEFAULT_SCALES = (2.0, 20.0)  # brightkite-like: 1.2k and 12k nodes
+_DEFAULT_K, _DEFAULT_EPSILON = 10, 0.05
+#: Layers timed inside the run: (label, owner, attribute), patched where
+#: the anonymizer looks them up.
+_LAYERS = (
+    ("relevance", genobf, "compute_relevance"),
+    ("selection", parallel, "select_candidate_edges"),
+    ("check", DegreeUncertaintyCache, "check_edge_arrays"),
+)
+
+
+def test_scaling_default_config(benchmark, monkeypatch):
+    """End-to-end default-config anonymize at 1.2k and 12k nodes."""
+    import repro
+    from repro.core import peak_rss_bytes
+
+    totals: dict[str, float] = {}
+
+    def timed(label, method):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                totals[label] += time.perf_counter() - start
+        return wrapper
+
+    for label, owner, name in _LAYERS:
+        monkeypatch.setattr(owner, name, timed(label, getattr(owner, name)))
+
+    def run_all():
+        rows = []
+        for scale in _DEFAULT_SCALES:
+            graph = load_profile("brightkite", scale=scale, seed=SEED)
+            totals.update((label, 0.0) for label, *__ in _LAYERS)
+            start = time.perf_counter()
+            result = repro.anonymize(
+                graph, _DEFAULT_K, _DEFAULT_EPSILON, seed=SEED
+            )
+            seconds = time.perf_counter() - start
+            oracle = check_obfuscation(
+                result.graph, _DEFAULT_K, _DEFAULT_EPSILON,
+                knowledge=expected_degree_knowledge(graph),
+            )
+            rows.append([
+                graph.n_nodes, graph.n_edges, seconds, totals["relevance"],
+                totals["selection"], totals["check"], result.sigma,
+                result.n_genobf_calls,
+                peak_rss_bytes() / 1024**2, result.success,
+                bool(oracle.satisfied
+                     and oracle.epsilon_achieved == result.epsilon_achieved),
+            ])
+        return rows
+
+    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    headers = ["nodes", "edges", "anonymize (s)", "relevance (s)",
+               "selection (s)", "check (s)", "sigma", "genobf calls",
+               "peak RSS MiB", "success", "identical"]
+    (__, e1, *t1), (__, e2, *t2) = rows
+    slopes = {
+        name: float(np.log(t2[i] / t1[i]) / np.log(e2 / e1))
+        for i, name in enumerate(
+            ("anonymize", "relevance", "selection", "check")
+        )
+    }
+    data = table_data(headers, rows)
+    data["slopes_vs_edges"] = slopes
+    data["config"] = {"k": _DEFAULT_K, "epsilon": _DEFAULT_EPSILON,
+                      "method": "rsme", "size_multiplier": 1.3,
+                      "n_trials": 5, "relevance_samples": 400}
+    emit(
+        "scaling_default_config",
+        format_table(headers, rows, precision=3)
+        + "\nlog-log slope vs |E|: "
+        + ", ".join(f"{name} {slope:.2f}" for name, slope in slopes.items()),
+        data=data,
+    )
+    assert all(row[-2] and row[-1] for row in rows)
+    # A quadratic layer would show a slope near 2 over a decade of |E|.
+    assert slopes["check"] < 1.6, slopes
 
 
 # --------------------------------------------------------------------- #

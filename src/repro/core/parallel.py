@@ -19,9 +19,8 @@ too.  This module supplies the engine:
   shared *by reference* -- no shared-memory segment, no pickling,
   near-zero dispatch cost -- and the hot kernels (:mod:`repro.kernels`)
   release the GIL under the compiled backend, so workers genuinely
-  overlap.  The one mutable structure, the incremental checker's pmf
-  cache, is cloned per worker thread
-  (:meth:`~repro.privacy.DegreeUncertaintyCache.clone`).
+  overlap.  The incremental checker's cache is shared too: a check
+  never mutates it.
 * :class:`ProcessTrialEngine` -- a persistent per-run worker pool.  The
   run's read-only invariants (the graph's edge arrays, the
   ``SelectionContext`` arrays, the incremental checker's base pmf
@@ -54,7 +53,6 @@ count (asserted by ``tests/test_parallel_trials.py`` and audited by
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -497,12 +495,11 @@ class ThreadTrialEngine(_PooledTrialEngine):
     ``nogil`` -- while the pure-NumPy fallback still overlaps inside
     numpy's own GIL-releasing primitives.
 
-    Thread safety: :func:`run_trial` mutates nothing shared except the
-    incremental checker's cache (row patch + rollback), so each worker
-    thread lazily clones the engine's base cache
-    (:meth:`DegreeUncertaintyCache.clone` -- matrix copied, read-only
-    structure shared).  The graph's lazily built caches are pre-warmed
-    once here, making every subsequent access read-only.
+    Thread safety: :func:`run_trial` mutates nothing shared -- the
+    incremental checker's cache answers every check from copies -- so
+    all worker threads share the engine's cache.  The graph's lazily
+    built caches are pre-warmed once here, making every subsequent
+    access read-only.
     """
 
     backend = "thread"
@@ -520,7 +517,6 @@ class ThreadTrialEngine(_PooledTrialEngine):
         # the calling thread; worker threads then only ever read them.
         graph._pair_key_index()
         graph.adjacency
-        self._local = threading.local()
         self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
             max_workers=self._n_workers, thread_name_prefix="repro-trial"
         )
@@ -529,22 +525,12 @@ class ThreadTrialEngine(_PooledTrialEngine):
     def n_workers(self) -> int:
         return self._n_workers
 
-    def _worker_cache(self) -> DegreeUncertaintyCache | None:
-        """This thread's private cache clone (lazily created)."""
-        if self._cache is None:
-            return None
-        cache = getattr(self._local, "cache", None)
-        if cache is None:
-            cache = self._cache.clone()
-            self._local.cache = cache
-        return cache
-
     def _run_one(self, probe_index, trial_index, sigma, config, entropy,
                  fault=None):
         execute_fault(fault)
         return run_trial(
             self._graph, config, self._context, sigma,
-            probe_index, trial_index, entropy, self._worker_cache(),
+            probe_index, trial_index, entropy, self._cache,
         )
 
     def _submit_probe(self, probe_index: int, sigma: float) -> list:

@@ -3,52 +3,77 @@
 GenObf (Algorithm 3) evaluates the obfuscation criterion once per trial,
 and the sigma search of Algorithm 1 runs GenObf dozens of times -- yet a
 single trial perturbs only the candidate edge set ``E_C``, so only the
-*endpoints* of perturbed edges change their degree pmfs.  The full
-checker nevertheless reruns the ``O(d^2)`` Poisson-binomial dynamic
-program for every one of the ``n`` vertices on every call.
+*endpoints* of perturbed edges change their degree pmfs.
 
-:class:`DegreeUncertaintyCache` stores the base graph's per-vertex
-incident-probability structure and degree-pmf rows once, then answers
-:meth:`DegreeUncertaintyCache.check_delta` for a candidate expressed as
-a delta -- a list of ``(u, v, p_old, p_new)`` edge updates.  Only the
-touched endpoints rerun their dynamic program; their matrix rows are
-patched in place, the column entropies are recomputed as one vectorized
-pass, and the rows are rolled back afterwards so the cache always
-reflects the base graph and can serve the next trial.
+:class:`DegreeUncertaintyCache` holds two structures for its base
+graph: a CSR incident index (``indptr`` / ``indices``, int64, each
+vertex's incident edge ids in ascending -- dense -- order) and the
+degree-uncertainty matrix ``M[w, d] = Pr[deg(w) = d]``.  Every cache
+path runs on the same arrays:
+
+* **Delta parsing.**  A candidate is a delta of parallel arrays
+  ``(u, v, p_old, p_new)``.  One vectorized pass canonicalizes the
+  pairs, looks up their edge ids with one ``pair_edge_ids`` search,
+  validates every entry (the first offending entry in delta order
+  raises), writes the overrides of existing edges into one patched copy
+  of the probability vector and keeps the delta-introduced pairs in
+  delta order.
+* **Row assembly.**  Each touched vertex's factor list -- its CSR
+  gather of patched probabilities, then its new edges in delta order,
+  zeros dropped -- is laid into one zero-padded matrix for all touched
+  rows at once.
+* **One DP.**  :func:`_pmf_rows` advances every row's Poisson-binomial
+  DP together.  It builds the base matrix (every vertex, empty delta),
+  answers :meth:`DegreeUncertaintyCache.check_edge_arrays` (touched
+  rows, written into a copy of the matrix before the column entropies
+  are re-derived) and patches the matrix in
+  :meth:`DegreeUncertaintyCache.apply_edge_arrays`.
+
+A check mutates nothing (it patches a copy of the matrix), so threads
+may share one cache.  An apply rebinds the graph and the CSR index and
+patches its own matrix rows in place; :meth:`DegreeUncertaintyCache.
+clone` therefore copies the matrix and shares everything else, so a
+clone's apply can never leak into the cache it came from.
 
 Bit-identical guarantee
 -----------------------
 The cache reproduces exactly what the full pipeline would compute for
 ``overlay(base, delta)``:
 
-* A touched vertex's incident probabilities are reassembled in the same
-  order the candidate graph would store them (original edges in dense
-  order, then new edges in delta order), so the DP convolutions run over
-  the same float sequence and yield bit-identical pmfs.
+* A touched vertex's factors are laid out in the order the candidate
+  graph stores them (original edges in dense order, then new edges in
+  delta order, zero probabilities filtered), so its DP multiplies the
+  same float sequence as the per-row kernel.
+* Zero padding is an exact IEEE no-op: a ``p = 0.0`` factor convolves
+  with the kernel ``[1.0, 0.0]``, and multiplying by ``1.0``/``0.0``
+  and adding ``0.0`` are exact, so a padded row equals the per-row pmf
+  in its leading entries and is exactly ``0.0`` beyond.  Each DP step
+  is the scalar kernel's two-term multiply-add, run across rows.
 * Untouched rows are reused verbatim.
-* The cached matrix may be *wider* than the candidate's (it only ever
-  grows); extra trailing all-zero columns have entropy ``+inf``, exactly
-  the value :func:`~repro.privacy.obfuscation.report_from_entropy_profile`
-  pads out-of-support knowledge with, so reports are unaffected.
-* The final report is assembled by the same shared
-  :func:`~repro.privacy.obfuscation.report_from_entropy_profile` code.
+* The matrix may be *wider* than the candidate's; extra trailing
+  all-zero columns have entropy ``+inf``, exactly the value
+  :func:`~repro.privacy.obfuscation.report_from_entropy_profile` pads
+  out-of-support knowledge with, so reports are unaffected.
+* The final report is assembled by that same shared function.
 
 Property tests in ``tests/test_incremental.py`` assert report equality
 (entropies, mask, epsilon-hat -- all bitwise) against the full checker
 across randomized graphs and deltas, and
-``benchmarks/bench_obfuscation_check.py`` records the speedup on a
-GenObf-shaped workload.  The full recompute stays available as the
+``benchmarks/bench_obfuscation_check.py`` records the speedup on
+GenObf-shaped workloads.  The full recompute stays available as the
 correctness oracle behind ``ChameleonConfig.obfuscation_checker``.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from ..exceptions import ObfuscationError
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
-from .degree_distribution import expected_degree_knowledge, poisson_binomial_pmf
+from .degree_distribution import expected_degree_knowledge
 from .entropy import column_entropies
 from .obfuscation import ObfuscationReport, report_from_entropy_profile
 
@@ -57,61 +82,81 @@ __all__ = ["OBFUSCATION_CHECKERS", "DegreeUncertaintyCache"]
 #: Selectable checker implementations for ``ChameleonConfig``.
 OBFUSCATION_CHECKERS = ("incremental", "full")
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_PROBS = np.zeros(0, dtype=np.float64)
 
-def _build_incident_ids(graph: UncertainGraph) -> list[list[int]]:
-    """Dense incident edge ids per vertex, in edge order.
 
-    This is the order ``incident_probability_lists()`` walks, which fixes
-    the degree-pmf DP's float operation sequence.
+def _extend_incidence(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    first_id: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A new CSR incident index with edges ``first_id, first_id + 1, ...``
+    (endpoints ``src`` / ``dst``) appended.
+
+    The new ids exceed every indexed id, so appending them at the end of
+    their endpoints' segments keeps each segment ascending.  Building
+    from an empty index gives the full index of a graph.
     """
-    incident_ids: list[list[int]] = [[] for __ in range(graph.n_nodes)]
-    for i, (u, v) in enumerate(
-        zip(graph.edge_src.tolist(), graph.edge_dst.tolist())
-    ):
-        incident_ids[u].append(i)
-        incident_ids[v].append(i)
-    return incident_ids
+    ends = np.column_stack([src, dst]).ravel()
+    ids = np.repeat(np.arange(first_id, first_id + src.size), 2)
+    order = np.argsort(ends, kind="stable")
+    ends, ids = ends[order], ids[order]
+    added = np.bincount(ends, minlength=indptr.size - 1)
+    return (
+        indptr + np.concatenate([[0], np.cumsum(added)]),
+        np.insert(indices, indptr[ends + 1], ids),
+    )
 
 
-def _padded_pmf_rows(factors: list[np.ndarray]) -> np.ndarray:
-    """Poisson-binomial pmfs of many factor lists in one vectorized DP.
+def _pmf_rows(factors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Poisson-binomial pmfs of every row of a zero-padded factor matrix.
 
-    Rows are padded with ``p = 0.0`` factors; a zero factor convolves
-    with the exact kernel ``[1.0, 0.0]``, and IEEE multiplication by
-    ``1.0``/``0.0`` and addition of ``0.0`` are bitwise-exact, so every
-    row of the result equals ``poisson_binomial_pmf(factors[i])`` in its
-    leading ``len(factors[i]) + 1`` entries and is exactly ``0.0``
-    beyond.  Each DP step performs the same two-term multiply-add as the
-    scalar kernel, just across all rows at once -- this is the hot path
-    of the streaming update engine, where the per-call overhead of one
-    ``np.convolve`` per incident edge per vertex would dominate.
+    Row ``i`` holds its ``sizes[i]`` factors in its leading entries and
+    ``0.0`` beyond.  Returns ``(m, width + 1)`` rows, each equal to
+    ``poisson_binomial_pmf(factors[i, :sizes[i]])`` in its leading
+    ``sizes[i] + 1`` entries and exactly ``0.0`` after them (see the
+    module docstring for why the padding is bitwise-exact).
     """
-    m = len(factors)
-    width = max((f.size for f in factors), default=0)
-    sizes = np.fromiter((f.size for f in factors), dtype=np.int64, count=m)
+    m, width = factors.shape
     order = np.argsort(sizes, kind="stable")
-    sizes_sorted = sizes[order]
-    padded = np.zeros((m, width), dtype=np.float64)
-    for i, gi in enumerate(order):
-        f = factors[gi]
-        padded[i, : f.size] = f
+    factors = factors[order]
+    # Rows whose factor list is exhausted would only convolve with the
+    # exact no-op kernel [1.0, 0.0]; ascending-size order makes the rows
+    # still active at step j the suffix from active[j], so each step
+    # touches exactly the work the per-row scalar DP would.
+    active = np.searchsorted(sizes[order], np.arange(width), side="right")
     out = np.zeros((m, width + 1), dtype=np.float64)
     out[:, 0] = 1.0
     for j in range(width):
-        # Rows whose factor list is exhausted would only convolve with
-        # the exact no-op kernel [1.0, 0.0]; ascending-size order makes
-        # the still-active rows a suffix, so each step touches exactly
-        # the work the per-row scalar DP would.
-        a = slice(int(np.searchsorted(sizes_sorted, j, side="right")), m)
-        pj = padded[a, j : j + 1]
-        qj = 1.0 - pj
-        out[a, j + 1 : j + 2] = out[a, j : j + 1] * pj
-        if j > 0:
-            out[a, 1 : j + 1] = out[a, 1 : j + 1] * qj + out[a, 0:j] * pj
-        out[a, 0:1] = out[a, 0:1] * qj
+        # pmf[d] <- pmf[d] * q + pmf[d - 1] * p for d = 0..j + 1: the
+        # two products and one sum of the two-tap convolution (the sum
+        # commutes exactly, and 0.0 + pmf[j] * p is exact for d = j + 1).
+        a = slice(int(active[j]), m)
+        pj = factors[a, j : j + 1]
+        shifted = out[a, : j + 1] * pj
+        out[a, : j + 1] *= 1.0 - pj
+        out[a, 1 : j + 2] += shifted
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted
+
+
+def _delta_arrays(us, vs, p_old, p_new):
+    """The four delta columns as validated parallel 1-D arrays."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    p_old = np.asarray(p_old, dtype=np.float64)
+    p_new = np.asarray(p_new, dtype=np.float64)
+    if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
+            or us.ndim != 1:
+        raise ObfuscationError(
+            "delta arrays must be 1-D and parallel, got shapes "
+            f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
+        )
+    return us, vs, p_old, p_new
 
 
 class DegreeUncertaintyCache:
@@ -134,30 +179,9 @@ class DegreeUncertaintyCache:
     def __init__(
         self, graph: UncertainGraph, knowledge: np.ndarray | None = None
     ):
-        self._graph = graph
-        self._n = graph.n_nodes
-        if knowledge is None:
-            knowledge = expected_degree_knowledge(graph)
-        self._knowledge = np.asarray(knowledge, dtype=np.int64)
-        if self._knowledge.shape != (self._n,):
-            raise ObfuscationError(
-                f"knowledge has shape {self._knowledge.shape}, expected "
-                f"({self._n},)"
-            )
-
-        self._incident_ids = _build_incident_ids(graph)
-
-        # Base-graph pmf rows assembled into the degree-uncertainty
-        # matrix.  The matrix only ever grows wider (extra all-zero
-        # columns are report-neutral), never shrinks.
-        pmfs = [
-            poisson_binomial_pmf(self._incident_probabilities(w, {}, ()))
-            for w in range(self._n)
-        ]
-        width = max((pmf.shape[0] for pmf in pmfs), default=1)
-        self._matrix = np.zeros((self._n, width), dtype=np.float64)
-        for w, pmf in enumerate(pmfs):
-            self._matrix[w, : pmf.shape[0]] = pmf
+        self._bind(graph, knowledge)
+        rows = np.arange(self._n, dtype=np.int64)
+        self._matrix = self._pmfs(rows, graph.edge_probabilities)
 
     @classmethod
     def from_base_matrix(
@@ -171,10 +195,22 @@ class DegreeUncertaintyCache:
         The Poisson-binomial DP over every vertex is the expensive part
         of construction; parallel trial workers skip it by receiving the
         parent cache's :attr:`base_matrix` through shared memory and
-        re-deriving only the (cheap) incident-id structure.  ``matrix``
-        is copied, so the caller's buffer may be a read-only view.
+        re-deriving only the (cheap) CSR incident index.  ``matrix`` is
+        copied, so the caller may release its buffer afterwards.
         """
         self = cls.__new__(cls)
+        self._bind(graph, knowledge)
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != self._n:
+            raise ObfuscationError(
+                f"base matrix has shape {matrix.shape}, expected "
+                f"({self._n}, width)"
+            )
+        self._matrix = matrix
+        return self
+
+    def _bind(self, graph: UncertainGraph, knowledge) -> None:
+        """Set the graph, the validated knowledge and the CSR index."""
         self._graph = graph
         self._n = graph.n_nodes
         if knowledge is None:
@@ -185,31 +221,21 @@ class DegreeUncertaintyCache:
                 f"knowledge has shape {self._knowledge.shape}, expected "
                 f"({self._n},)"
             )
-        matrix = np.array(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != self._n:
-            raise ObfuscationError(
-                f"base matrix has shape {matrix.shape}, expected "
-                f"({self._n}, width)"
-            )
-        self._incident_ids = _build_incident_ids(graph)
-        self._matrix = matrix
-        return self
+        self._indptr, self._indices = _extend_incidence(
+            np.zeros(self._n + 1, dtype=np.int64), _NO_IDS,
+            graph.edge_src, graph.edge_dst, 0,
+        )
 
     def clone(self) -> "DegreeUncertaintyCache":
         """An independent cache answering identical checks.
 
-        :meth:`check_delta` patches matrix rows in place (and rolls them
-        back), so one cache instance must never serve two concurrent
-        callers.  The thread-backed trial engine gives each worker thread
-        its own clone: the pmf matrix is copied (the only mutable state),
-        while the graph, knowledge and incident-id structure -- all
-        read-only -- are shared by reference.
+        :meth:`apply_edge_arrays` moves the cache to the patched graph,
+        so the server's warm registry hands each job a clone.  The pmf
+        matrix -- the one array an apply writes in place -- is copied;
+        the graph, knowledge and CSR index are never mutated (an apply
+        rebinds them) and are shared.
         """
-        clone = type(self).__new__(type(self))
-        clone._graph = self._graph
-        clone._n = self._n
-        clone._knowledge = self._knowledge
-        clone._incident_ids = self._incident_ids
+        clone = copy.copy(self)
         clone._matrix = self._matrix.copy()
         return clone
 
@@ -231,88 +257,136 @@ class DegreeUncertaintyCache:
         """
         return self._matrix
 
-    def _incident_probabilities(
-        self,
-        vertex: int,
-        overrides: dict[int, float],
-        new_edges: tuple[tuple[int, int, float], ...],
-    ) -> np.ndarray:
-        """Positive incident probabilities of ``vertex`` under a delta.
+    def _parse_delta(self, us, vs, p_old, p_new):
+        """Validate a delta and split it into its effect on the base graph.
 
-        Original edges come first in dense order (with overridden
-        probabilities applied), then delta-introduced edges in delta
-        order -- the exact order ``overlay`` + ``incident_probability_
-        lists`` would produce for the candidate graph.
+        Returns ``(prob, new_lo, new_hi, new_p, touched)``: a copy of the
+        base probabilities with existing-edge overrides applied, the
+        delta-introduced pairs (canonical endpoints and probabilities)
+        in delta order, and the sorted vertices whose pmf changes.
+        No-op entries (``p_new == p_old``) are dropped.  The first
+        offending entry in delta order raises; within one entry the
+        checks fire as self-loop, out of range, duplicate, bad
+        ``p_new``, stale ``p_old``.
         """
+        n = self._n
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        ids = self._graph.pair_edge_ids(lo, hi)
+        hit = ids >= 0
         base = self._graph.edge_probabilities
-        ids = self._incident_ids[vertex]
-        if not overrides and not new_edges:
-            # Empty-delta fast path (cache construction and post-apply
-            # row refresh): one gather + one filter, same floats in the
-            # same dense order as the generic loop below.
-            incident = base[np.asarray(ids, dtype=np.intp)]
-            return incident[incident > 0.0]
-        probs = []
-        for eid in ids:
-            p = overrides.get(eid)
-            if p is None:
-                p = float(base[eid])
-            if p > 0.0:
-                probs.append(p)
-        for u, v, p in new_edges:
-            if p > 0.0 and (u == vertex or v == vertex):
-                probs.append(p)
-        return np.asarray(probs, dtype=np.float64)
+        stored = np.zeros(us.shape, dtype=np.float64)
+        stored[hit] = base[ids[hit]]
+        __, first, inverse = np.unique(
+            lo * n + hi, return_index=True, return_inverse=True
+        )
+        checks = (
+            us == vs,
+            (lo < 0) | (hi >= n),
+            first[inverse] != np.arange(us.size),
+            ~((p_new >= 0.0) & (p_new <= 1.0)),
+            p_old != stored,
+        )
+        bad = np.logical_or.reduce(checks)
+        if bad.any():
+            i = int(np.argmax(bad))
+            u, v = int(us[i]), int(vs[i])
+            pair = (int(lo[i]), int(hi[i]))
+            messages = (
+                f"delta contains self-loop on vertex {u}",
+                f"delta edge ({u}, {v}) references a vertex outside "
+                f"0..{n - 1}",
+                f"duplicate delta entry for edge {pair}",
+                f"delta edge {pair} has probability {float(p_new[i])!r}, "
+                "expected a finite value in [0, 1]",
+                f"stale delta: edge {pair} has base probability "
+                f"{float(stored[i])!r}, delta claims {float(p_old[i])!r}",
+            )
+            raise ObfuscationError(
+                next(m for check, m in zip(checks, messages) if check[i])
+            )
+        change = p_new != p_old
+        prob = base.copy()
+        prob[ids[change & hit]] = p_new[change & hit]
+        fresh = change & ~hit
+        touched = np.unique(np.concatenate([lo[change], hi[change]]))
+        return prob, lo[fresh], hi[fresh], p_new[fresh], touched
 
-    def _parse_delta(self, delta):
-        """Validate a delta and split it into overrides / new edges.
+    def _pmfs(
+        self,
+        rows: np.ndarray,
+        prob: np.ndarray,
+        new_lo: np.ndarray = _NO_IDS,
+        new_hi: np.ndarray = _NO_IDS,
+        new_p: np.ndarray = _NO_PROBS,
+    ) -> np.ndarray:
+        """Degree pmfs of the sorted vertices ``rows`` under ``prob`` plus
+        the delta-introduced edges, through one padded DP.
 
-        Returns ``(overrides, new_edges, touched)`` where ``overrides``
-        maps dense edge ids to new probabilities, ``new_edges`` lists
-        delta-introduced ``(u, v, p)`` triples in delta order, and
-        ``touched`` is the set of vertices whose pmf actually changes.
-        No-op entries (``p_new == p_old``) are dropped.
+        Row ``i``'s factors are ``prob`` over the incident edges of
+        ``rows[i]`` in CSR (dense) order, then its new edges in delta
+        order, zeros dropped -- the sequence
+        ``incident_probability_lists`` yields for the candidate graph.
         """
-        graph = self._graph
-        overrides: dict[int, float] = {}
-        new_edges: list[tuple[int, int, float]] = []
-        touched: set[int] = set()
-        seen: set[tuple[int, int]] = set()
-        for u, v, p_old, p_new in delta:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ObfuscationError(f"delta contains self-loop on vertex {u}")
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise ObfuscationError(
-                    f"delta edge ({u}, {v}) references a vertex outside "
-                    f"0..{self._n - 1}"
-                )
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise ObfuscationError(f"duplicate delta entry for edge {pair}")
-            seen.add(pair)
-            p_old = float(p_old)
-            p_new = float(p_new)
-            if not np.isfinite(p_new) or p_new < 0.0 or p_new > 1.0:
-                raise ObfuscationError(
-                    f"delta edge {pair} has probability {p_new!r}, expected "
-                    "a finite value in [0, 1]"
-                )
-            stored = graph.probability(*pair)
-            if p_old != stored:
-                raise ObfuscationError(
-                    f"stale delta: edge {pair} has base probability "
-                    f"{stored!r}, delta claims {p_old!r}"
-                )
-            if p_new == p_old:
-                continue
-            if graph.has_edge(*pair):
-                overrides[graph.edge_id(*pair)] = p_new
-            else:
-                new_edges.append((pair[0], pair[1], p_new))
-            touched.add(u)
-            touched.add(v)
-        return overrides, tuple(new_edges), touched
+        starts = self._indptr[rows]
+        counts = self._indptr[rows + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        flat = np.arange(int(counts.sum())) + np.repeat(
+            starts - offsets, counts
+        )
+        # Each new edge feeds both endpoints; interleaving the endpoints
+        # keeps delta order within a row through the stable sort below.
+        ends = np.column_stack([new_lo, new_hi]).ravel()
+        owner = np.concatenate([
+            np.repeat(np.arange(rows.size), counts),
+            np.searchsorted(rows, ends),
+        ])
+        vals = np.concatenate(
+            [prob[self._indices[flat]], np.repeat(new_p, 2)]
+        )
+        keep = vals > 0.0
+        order = np.argsort(owner[keep], kind="stable")
+        owner, vals = owner[keep][order], vals[keep][order]
+        sizes = np.bincount(owner, minlength=rows.size)
+        position = np.arange(owner.size) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        factors = np.zeros((rows.size, int(sizes.max(initial=0))))
+        factors[owner, position] = vals
+        return _pmf_rows(factors, sizes)
+
+    def _patched(
+        self, rows: np.ndarray, pmfs: np.ndarray, in_place: bool = False
+    ) -> np.ndarray:
+        """The matrix with ``rows`` replaced by ``pmfs``: a copy, widened
+        if ``pmfs`` needs it, unless ``in_place`` and the width fits."""
+        if rows.size == 0:
+            return self._matrix
+        n, width = self._matrix.shape
+        if in_place and pmfs.shape[1] <= width:
+            matrix = self._matrix
+        else:
+            matrix = np.zeros((n, max(width, pmfs.shape[1])))
+            matrix[:, :width] = self._matrix
+        matrix[rows, pmfs.shape[1]:] = 0.0
+        matrix[rows, : pmfs.shape[1]] = pmfs
+        return matrix
+
+    def _check(self, us, vs, p_old, p_new, k, epsilon, knowledge):
+        prob, new_lo, new_hi, new_p, touched = self._parse_delta(
+            us, vs, p_old, p_new
+        )
+        matrix = self._patched(
+            touched, self._pmfs(touched, prob, new_lo, new_hi, new_p)
+        )
+        return self._report(matrix, k, epsilon, knowledge)
+
+    def _report(self, matrix, k, epsilon, knowledge) -> ObfuscationReport:
+        if knowledge is None:
+            knowledge = self._knowledge
+        return report_from_entropy_profile(
+            column_entropies(matrix), knowledge, k, epsilon, n_nodes=self._n
+        )
 
     def check_delta(
         self,
@@ -327,40 +401,11 @@ class DegreeUncertaintyCache:
         ``p_old`` must match the base graph (a mismatch means the caller
         holds a stale view and raises).  The returned report is
         bit-identical to ``check_obfuscation`` on the materialized
-        candidate.  The cache state is rolled back before returning, so
-        consecutive calls are independent.
+        candidate.  The cache is left unchanged, so consecutive calls
+        are independent.
         """
-        if knowledge is None:
-            knowledge = self._knowledge
-        overrides, new_edges, touched = self._parse_delta(delta)
-
-        new_pmfs = {
-            w: poisson_binomial_pmf(
-                self._incident_probabilities(w, overrides, new_edges)
-            )
-            for w in sorted(touched)
-        }
-        needed = max(
-            (pmf.shape[0] for pmf in new_pmfs.values()), default=0
-        )
-        if needed > self._matrix.shape[1]:
-            grown = np.zeros((self._n, needed), dtype=np.float64)
-            grown[:, : self._matrix.shape[1]] = self._matrix
-            self._matrix = grown
-
-        saved = {w: self._matrix[w].copy() for w in new_pmfs}
-        try:
-            for w, pmf in new_pmfs.items():
-                row = self._matrix[w]
-                row[:] = 0.0
-                row[: pmf.shape[0]] = pmf
-            profile = column_entropies(self._matrix)
-            return report_from_entropy_profile(
-                profile, knowledge, k, epsilon, n_nodes=self._n
-            )
-        finally:
-            for w, row in saved.items():
-                self._matrix[w] = row
+        columns = tuple(zip(*delta)) or ((), (), (), ())
+        return self._check(*_delta_arrays(*columns), k, epsilon, knowledge)
 
     def check_edge_arrays(
         self,
@@ -376,30 +421,20 @@ class DegreeUncertaintyCache:
 
         The GenObf trial path describes a candidate as four parallel
         arrays (endpoints, base probabilities, perturbed probabilities);
-        this adapter lets the same arrays drive both the obfuscation
-        check and -- through
+        the same arrays drive both the obfuscation check and -- through
         :func:`repro.ugraph.operations.apply_edge_updates` -- the
         materialization of a winning candidate, with no per-pair
         generator overlays in between.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        p_old = np.asarray(p_old, dtype=np.float64)
-        p_new = np.asarray(p_new, dtype=np.float64)
-        if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
-                or us.ndim != 1:
-            raise ObfuscationError(
-                "delta arrays must be 1-D and parallel, got shapes "
-                f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
-            )
-        delta = zip(us.tolist(), vs.tolist(), p_old.tolist(), p_new.tolist())
-        return self.check_delta(delta, k, epsilon, knowledge=knowledge)
+        return self._check(
+            *_delta_arrays(us, vs, p_old, p_new), k, epsilon, knowledge
+        )
 
     def check_base(
         self, k: int, epsilon: float, knowledge: np.ndarray | None = None
     ) -> ObfuscationReport:
         """The empty-delta check: the base graph itself."""
-        return self.check_delta((), k, epsilon, knowledge=knowledge)
+        return self._report(self._matrix, k, epsilon, knowledge)
 
     def apply_edge_arrays(
         self,
@@ -413,62 +448,32 @@ class DegreeUncertaintyCache:
 
         The streaming re-certification pipeline accepts an update batch
         as its new published truth, so unlike :meth:`check_delta` the
-        touched pmf rows are patched **without rollback** and the cache's
-        base graph is rebound to ``apply_edge_updates(graph, us, vs,
-        p_new)``.  Returns the patched graph.
+        touched pmf rows are kept and the cache's base graph is rebound
+        to ``apply_edge_updates(graph, us, vs, p_new)``.  Returns the
+        patched graph.
 
         Bit-identical guarantee: after the apply, every answer equals a
         freshly built ``DegreeUncertaintyCache(patched, knowledge)``.
-        A touched vertex's pmf is recomputed over the exact incident
-        float sequence the patched graph stores (original edges in dense
-        order, fresh pairs appended in delta first-occurrence order,
-        zero probabilities filtered on both paths); untouched rows keep
-        their floats; the matrix may only be *wider* (trailing all-zero
-        columns have entropy ``+inf``, the padding value reports use).
-        The knowledge vector is deliberately kept: the adversary's
-        degree observations predate the update.
+        ``apply_edge_updates`` keeps existing edges at their dense ids
+        and appends fresh pairs, so the CSR index grows by appending the
+        new ids to their endpoints' segments; a touched vertex's pmf is
+        then recomputed over the exact incident float sequence the
+        patched graph stores; untouched rows keep their floats; the
+        matrix may only be *wider*.  The knowledge vector is
+        deliberately kept: the adversary's degree observations predate
+        the update.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        p_old = np.asarray(p_old, dtype=np.float64)
-        p_new = np.asarray(p_new, dtype=np.float64)
-        if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
-                or us.ndim != 1:
-            raise ObfuscationError(
-                "delta arrays must be 1-D and parallel, got shapes "
-                f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
-            )
-        delta = zip(us.tolist(), vs.tolist(), p_old.tolist(), p_new.tolist())
-        __, __, touched = self._parse_delta(delta)
-
-        n_before = self._graph.n_edges
+        us, vs, p_old, p_new = _delta_arrays(us, vs, p_old, p_new)
+        *__, touched = self._parse_delta(us, vs, p_old, p_new)
+        before = self._graph.n_edges
         patched = apply_edge_updates(self._graph, us, vs, p_new)
+        self._indptr, self._indices = _extend_incidence(
+            self._indptr, self._indices,
+            patched.edge_src[before:], patched.edge_dst[before:], before,
+        )
         self._graph = patched
-        # ``apply_edge_updates`` keeps existing edges at their dense ids
-        # and appends fresh pairs, so the incident index extends in
-        # place; a rebuild would cost O(|E|) for an O(|delta|) change.
-        for eid in range(n_before, patched.n_edges):
-            self._incident_ids[int(patched.edge_src[eid])].append(eid)
-            self._incident_ids[int(patched.edge_dst[eid])].append(eid)
-
-        # With the graph already rebound, each touched row's incident
-        # sequence is exactly the delta-overlaid one (overrides applied
-        # in dense order, fresh pairs appended), so the empty-delta fast
-        # path recomputes the same pmf floats the generic overlay would.
-        order = sorted(touched)
-        factors = [
-            self._incident_probabilities(w, {}, ()) for w in order
-        ]
-        block = _padded_pmf_rows(factors)
-        needed = block.shape[1]
-        if needed > self._matrix.shape[1]:
-            grown = np.zeros((self._n, needed), dtype=np.float64)
-            grown[:, : self._matrix.shape[1]] = self._matrix
-            self._matrix = grown
-        if order:
-            rows = np.zeros(
-                (len(order), self._matrix.shape[1]), dtype=np.float64
-            )
-            rows[:, :needed] = block
-            self._matrix[np.asarray(order, dtype=np.intp)] = rows
+        self._matrix = self._patched(
+            touched, self._pmfs(touched, patched.edge_probabilities),
+            in_place=True,
+        )
         return patched

@@ -7,10 +7,10 @@ labels); every later job gets the parsed graph by reference and the
 caches as **clones**.  Cloning is the bit-identity mechanism, not an
 optimization detail:
 
-* ``DegreeUncertaintyCache.clone()`` copies the only mutable state (the
-  pmf matrix), so a clone of the pristine cache answers checks exactly
-  like a freshly built cache -- and per-job clones mean concurrent jobs
-  never share the in-place rollback buffer.
+* ``DegreeUncertaintyCache.clone()`` copies the pmf matrix (the one
+  array an apply writes in place) and shares the never-mutated graph
+  and CSR index, so a clone answers checks exactly like a freshly built
+  cache and an ``update`` job's apply never reaches the pristine cache.
 * ``WorldStore.clone()`` deep-copies the generator and shares the
   world-chunk blocks copy-on-write, so a clone of the pristine store
   behaves exactly like a freshly built

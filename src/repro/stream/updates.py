@@ -142,19 +142,24 @@ class UpdateBatch:
         same failure to before any state is touched.
         """
         n = graph.n_nodes
-        for u, v, old, __ in self.as_delta():
-            if v >= n:
-                raise ObfuscationError(
-                    f"update pair ({u}, {v}) is out of range for a graph "
-                    f"with {n} vertices"
-                )
-            stored = graph.probability(u, v)
-            if old != stored:
-                raise ObfuscationError(
-                    f"update claims p_old={old!r} for pair ({u}, {v}), but "
-                    f"the published graph has {stored!r}; rebuild the batch "
-                    "against the current published state"
-                )
+        stored = graph.pair_probabilities(self.us, self.vs)
+        outside = self.vs >= n
+        bad = outside | (self.p_old != stored)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        u, v = int(self.us[i]), int(self.vs[i])
+        if outside[i]:
+            raise ObfuscationError(
+                f"update pair ({u}, {v}) is out of range for a graph "
+                f"with {n} vertices"
+            )
+        raise ObfuscationError(
+            f"update claims p_old={float(self.p_old[i])!r} for pair "
+            f"({u}, {v}), but the published graph has "
+            f"{float(stored[i])!r}; rebuild the batch against the current "
+            "published state"
+        )
 
 
 def read_update_file(path: str | Path) -> UpdateBatch:

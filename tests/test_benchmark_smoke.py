@@ -52,6 +52,16 @@ def test_obfuscation_check_comparison_smoke():
 
 
 @pytest.mark.benchmark_smoke
+def test_genobf_check_comparison_smoke():
+    """GenObf-shaped deltas (c = 1.3 selection) on the array path."""
+    result = bench_obf.run_genobf_check_comparison(scale=0.1, n_deltas=3)
+    assert result["n_deltas"] == 3
+    assert result["identical"], "incremental and full reports diverged"
+    assert result["delta_edges"] > result["graph"][1]
+    assert [row[0] for row in result["rows"]] == ["full", "incremental"]
+
+
+@pytest.mark.benchmark_smoke
 def test_incremental_update_comparison_smoke():
     """The streaming update pipeline at tiny scale: chained batches,
     certificate and store equivalence audits -- speedup not asserted

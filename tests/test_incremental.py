@@ -203,3 +203,217 @@ class TestDeltaValidation:
     def test_bad_knowledge_shape_rejected(self, triangle):
         with pytest.raises(ObfuscationError, match="shape"):
             DegreeUncertaintyCache(triangle, knowledge=np.array([1, 2]))
+
+
+def legacy_first_error(graph, delta):
+    """The message of the per-entry validation loop the vectorized
+    parser replaced, or None when the delta is valid."""
+    n = graph.n_nodes
+    seen = set()
+    for u, v, p_old, p_new in delta:
+        if u == v:
+            return f"delta contains self-loop on vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return (
+                f"delta edge ({u}, {v}) references a vertex outside "
+                f"0..{n - 1}"
+            )
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return f"duplicate delta entry for edge {pair}"
+        seen.add(pair)
+        if not np.isfinite(p_new) or p_new < 0.0 or p_new > 1.0:
+            return (
+                f"delta edge {pair} has probability {p_new!r}, expected "
+                "a finite value in [0, 1]"
+            )
+        stored = graph.probability(*pair)
+        if p_old != stored:
+            return (
+                f"stale delta: edge {pair} has base probability "
+                f"{stored!r}, delta claims {p_old!r}"
+            )
+    return None
+
+
+def brute_force_incidence(graph):
+    """Each vertex's incident edge ids in dense order, by a full scan."""
+    return [
+        [e for e in range(graph.n_edges)
+         if w in (int(graph.edge_src[e]), int(graph.edge_dst[e]))]
+        for w in range(graph.n_nodes)
+    ]
+
+
+def assert_csr_matches(cache):
+    expected = brute_force_incidence(cache.graph)
+    indptr, indices = cache._indptr, cache._indices
+    assert indptr.dtype == indices.dtype == np.int64
+    for w, ids in enumerate(expected):
+        assert indices[indptr[w]:indptr[w + 1]].tolist() == ids
+
+
+def assert_cache_matches_fresh(cache, k=2, epsilon=0.2):
+    fresh = DegreeUncertaintyCache(cache.graph, knowledge=cache.knowledge)
+    assert_reports_identical(
+        fresh.check_base(k, epsilon), cache.check_base(k, epsilon)
+    )
+    width = fresh.base_matrix.shape[1]
+    np.testing.assert_array_equal(
+        fresh.base_matrix, cache.base_matrix[:, :width]
+    )
+    assert not cache.base_matrix[:, width:].any()
+
+
+def as_arrays(delta):
+    columns = tuple(zip(*delta)) or ((), (), (), ())
+    return tuple(np.asarray(c) for c in columns)
+
+
+class TestVectorizedParser:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_error_precedence_matches_entry_loop(self, data):
+        """With several invalid entries, the first offending entry in
+        delta order raises; within it the checks fire as self-loop, out
+        of range, duplicate, bad p_new, stale p_old."""
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        graph = random_graph(np.random.default_rng(seed), n_nodes=5,
+                             density=0.5)
+        n = graph.n_nodes
+        vertex = st.integers(-1, n)
+        delta = []
+        for __ in range(data.draw(st.integers(1, 7), label="size")):
+            u, v = data.draw(vertex), data.draw(vertex)
+            stored = graph.probability(u, v) if 0 <= min(u, v) and \
+                max(u, v) < n and u != v else 0.0
+            p_old = data.draw(st.sampled_from(
+                [stored, stored, 0.25, float("nan")]))
+            p_new = data.draw(st.sampled_from(
+                [p_old, 0.0, 0.5, 1.0, -0.5, 1.5, float("nan"),
+                 float("inf")]))
+            delta.append((u, v, p_old, p_new))
+        expected = legacy_first_error(graph, delta)
+        cache = DegreeUncertaintyCache(graph)
+        if expected is None:
+            candidate = overlay(graph, ((u, v, p) for u, v, __, p in delta))
+            full = check_obfuscation(candidate, 2, 0.2,
+                                     knowledge=cache.knowledge)
+            assert_reports_identical(full, cache.check_delta(delta, 2, 0.2))
+            return
+        with pytest.raises(ObfuscationError) as info:
+            cache.check_delta(delta, 2, 0.2)
+        assert str(info.value) == expected
+        with pytest.raises(ObfuscationError) as info:
+            cache.check_edge_arrays(*as_arrays(delta), 2, 0.2)
+        assert str(info.value) == expected
+        with pytest.raises(ObfuscationError) as info:
+            cache.apply_edge_arrays(*as_arrays(delta))
+        assert str(info.value) == expected
+        assert cache.graph is graph, "a rejected apply must not rebind"
+
+    def test_all_noop_delta_touches_no_rows(self, bridge_graph):
+        cache = DegreeUncertaintyCache(bridge_graph)
+        noop = [(0, 1, 0.95, 0.95), (2, 3, 0.5, 0.5), (0, 5, 0.0, 0.0)]
+        assert_reports_identical(
+            cache.check_base(2, 0.1), cache.check_delta(noop, 2, 0.1)
+        )
+        before = cache.base_matrix
+        cache.apply_edge_arrays(*as_arrays(noop))
+        assert cache.base_matrix is before
+        # the no-op fresh pair is still a (zero-probability) edge
+        assert cache.graph.has_edge(0, 5)
+        assert_csr_matches(cache)
+        assert_cache_matches_fresh(cache)
+
+    def test_zero_probability_edges(self, bridge_graph):
+        """Zero-probability edges stay in the index but never enter a
+        pmf, on the check path and after an apply."""
+        knowledge = expected_degree_knowledge(bridge_graph)
+        cache = DegreeUncertaintyCache(bridge_graph, knowledge=knowledge)
+        cache.apply_edge_arrays(*as_arrays(
+            [(0, 4, 0.0, 0.0), (1, 2, 0.95, 0.0)]
+        ))
+        assert_csr_matches(cache)
+        assert_cache_matches_fresh(cache)
+        published = cache.graph
+        delta = [(0, 4, 0.0, 0.6), (1, 2, 0.0, 0.3), (1, 4, 0.0, 0.0)]
+        candidate = overlay(published, ((u, v, p) for u, v, __, p in delta))
+        full = check_obfuscation(candidate, 2, 0.1, knowledge=knowledge)
+        assert_reports_identical(full, cache.check_delta(delta, 2, 0.1))
+
+    def test_apply_width_growth(self, path4):
+        cache = DegreeUncertaintyCache(path4)
+        width = cache.base_matrix.shape[1]
+        cache.apply_edge_arrays(*as_arrays(
+            [(0, 2, 0.0, 0.9), (0, 3, 0.0, 0.8)]
+        ))
+        assert cache.base_matrix.shape[1] > width
+        assert_csr_matches(cache)
+        assert_cache_matches_fresh(cache)
+        # shrinking again keeps the wider matrix, still report-neutral
+        cache.apply_edge_arrays(*as_arrays([(0, 2, 0.9, 0.0)]))
+        assert_cache_matches_fresh(cache)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csr_after_chained_applies(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_nodes=9)
+        cache = DegreeUncertaintyCache(graph)
+        assert_csr_matches(cache)
+        for __ in range(4):
+            delta = random_delta(cache.graph, rng, max_edges=6)
+            cache.apply_edge_arrays(*as_arrays(delta))
+            assert_csr_matches(cache)
+            assert_cache_matches_fresh(cache)
+            probe = random_delta(cache.graph, rng, max_edges=4)
+            fresh = DegreeUncertaintyCache(cache.graph,
+                                           knowledge=cache.knowledge)
+            assert_reports_identical(fresh.check_delta(probe, 2, 0.2),
+                                     cache.check_delta(probe, 2, 0.2))
+
+
+class TestCloneIsolation:
+    def test_clone_apply_leaves_original_pristine(self):
+        """A clone that applies fresh pairs must not reach the cache it
+        was cloned from (the warm server's pristine cache)."""
+        path5 = UncertainGraph(
+            5, [(0, 1, 0.5), (1, 2, 0.6), (2, 3, 0.7), (3, 4, 0.8)]
+        )
+        pristine = DegreeUncertaintyCache(path5)
+        clone = pristine.clone()
+        clone.apply_edge_arrays(*as_arrays([(0, 4, 0.0, 0.9)]))
+        fresh = DegreeUncertaintyCache(path5)
+        for delta in ([(0, 1, 0.5, 0.1)], [(0, 4, 0.0, 0.3)],
+                      [(3, 4, 0.8, 1.0), (0, 2, 0.0, 0.4)]):
+            assert_reports_identical(
+                fresh.check_edge_arrays(*as_arrays(delta), 2, 0.3),
+                pristine.check_edge_arrays(*as_arrays(delta), 2, 0.3),
+            )
+        np.testing.assert_array_equal(fresh.base_matrix,
+                                      pristine.base_matrix)
+        assert pristine.graph is path5
+        assert_csr_matches(pristine)
+
+    def test_concurrent_checks_share_one_cache(self):
+        """Checks never mutate the cache, so threads may share one (the
+        thread trial engine does): answers match serial ones."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(11)
+        graph = random_graph(rng, n_nodes=14, density=0.4)
+        cache = DegreeUncertaintyCache(graph)
+        deltas = [random_delta(graph, rng, max_edges=10) for __ in range(48)]
+        expected = [cache.check_delta(d, 2, 0.2) for d in deltas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cache.check_delta, d, 2, 0.2)
+                           for d in deltas * 4]
+                reports = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected * 4, reports):
+            assert_reports_identical(want, got)

@@ -27,6 +27,7 @@ from repro.server import (
     job_fingerprint,
 )
 from repro.server.service import _make_runtime, _parse_job_argv
+from repro.stream import UpdateBatch, write_update_file
 
 
 def one_shot(argv):
@@ -316,6 +317,41 @@ def test_worldstore_clone_bit_identity(toy_graph):
     # consuming the clone must not disturb the pristine original
     assert pristine.clone().discrepancy(
         pristine.clone().derive(delta), seed=3) == expected
+
+
+def test_served_updates_keep_pristine_degree_cache(toy_graph, tmp_path):
+    """Two served updates on one warm dataset: the first adds a fresh
+    pair, the second touches that pair's endpoints.  Each job works on a
+    clone of the resident degree cache, so the second job must still see
+    the published graph -- byte-identical to its one-shot run."""
+    graph = CommandRuntime().load(str(toy_graph))
+    a = 0
+    b = next(w for w in range(1, graph.n_nodes) if not graph.has_edge(a, w))
+    c = next(w for w in range(graph.n_nodes) if graph.has_edge(a, w))
+    d = next(w for w in range(graph.n_nodes) if graph.has_edge(b, w))
+    batches = (
+        [(a, b, 0.0, 0.9)],
+        [(a, c, graph.probability(a, c), 0.2),
+         (b, d, graph.probability(b, d), 0.6)],
+    )
+    service = ChameleonService()
+    try:
+        for index, deltas in enumerate(batches):
+            updates = tmp_path / f"batch{index}.upd"
+            write_update_file(UpdateBatch.from_deltas(deltas), updates)
+            served_out = tmp_path / f"served{index}.pel"
+            direct_out = tmp_path / f"direct{index}.pel"
+            tail = ["--k", "3", "--epsilon", "0.3", "--no-repair"]
+            job = serve_job(service, ["update", str(toy_graph), str(updates),
+                                      str(served_out)] + tail)
+            code, stdout = one_shot(["update", str(toy_graph), str(updates),
+                                     str(direct_out)] + tail)
+            assert job.state == "done", job.error
+            assert job.exit_code == code
+            assert job.stdout == stdout
+            assert served_out.read_bytes() == direct_out.read_bytes()
+    finally:
+        service._executor.shutdown(wait=True, cancel_futures=True)
 
 
 def test_registry_evicts_lru(toy_graph, tmp_path):

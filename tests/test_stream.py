@@ -96,6 +96,47 @@ def test_batch_from_graphs_round_trips(triangle):
         batch.validate_against(updated)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_against_reports_first_offending_entry(data):
+    """The vectorized check raises the message the per-entry loop gave
+    for the first offending entry (range before stale within one)."""
+    graph = random_graph(data.draw(st.integers(0, 50), label="seed"),
+                         n=8, n_edges=14)
+    n = graph.n_nodes
+    deltas = []
+    seen = set()
+    for __ in range(data.draw(st.integers(1, 6), label="size")):
+        u = data.draw(st.integers(0, n - 1))
+        v = data.draw(st.integers(u + 1, n + 1))
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        stored = graph.probability(u, v) if v < n else 0.0
+        old = data.draw(st.sampled_from([stored, stored, 0.5]))
+        deltas.append((u, v, old, 0.25))
+    batch = UpdateBatch.from_deltas(deltas)
+
+    expected = None
+    for u, v, old, __ in batch.as_delta():
+        if v >= n:
+            expected = (f"update pair ({u}, {v}) is out of range for a "
+                        f"graph with {n} vertices")
+            break
+        stored = graph.probability(u, v)
+        if old != stored:
+            expected = (f"update claims p_old={old!r} for pair ({u}, {v}), "
+                        f"but the published graph has {stored!r}; rebuild "
+                        "the batch against the current published state")
+            break
+    if expected is None:
+        batch.validate_against(graph)
+        return
+    with pytest.raises(ObfuscationError) as info:
+        batch.validate_against(graph)
+    assert str(info.value) == expected
+
+
 def test_update_file_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     graph = random_graph(1)
