@@ -19,7 +19,7 @@ import numpy as np
 
 from _harness import EPSILONS, SEED, dataset, emit, format_table, knowledge
 from repro.core import ChameleonConfig, build_selection_context
-from repro.core.genobf import _edge_noise_scales
+from repro.core.parallel import _edge_noise_scales
 from repro.core.noise import perturb_probabilities
 from repro.core.selection import select_candidate_edges
 from repro.privacy import check_obfuscation, degree_entropy_per_vertex
@@ -41,7 +41,8 @@ def _evaluate(mode: str, sigma: float) -> tuple[float, float]:
                                       seed=SEED)
     pairs = select_candidate_edges(graph, context.weights, 2.0, seed=SEED)
     current = np.asarray([graph.probability(u, v) for u, v in pairs])
-    scales = _edge_noise_scales(pairs, context.weights, sigma)
+    us, vs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    scales = _edge_noise_scales(us, vs, context.weights, sigma)
     perturbed = perturb_probabilities(current, scales, mode=mode,
                                       white_noise=0.01, seed=SEED)
     candidate = overlay(graph, ((u, v, p) for (u, v), p in zip(pairs, perturbed)))

@@ -1,9 +1,17 @@
-"""Connectivity-backend benchmark: wall time + partition equivalence.
+"""Connectivity benchmark: the engine against its per-world oracles.
 
-Times :func:`repro.reliability.batch_component_labels` under every
-selectable backend on the Brightkite-like profile and verifies that all
-backends produce identical component *partitions* (labels may differ up
-to per-world renaming; the partition is what every estimator consumes).
+Times :func:`repro.reliability.batch_component_labels` -- in process and
+fanned out to its process pool -- against the two per-world oracles of
+``repro._oracles.per_world_component_labels`` (one scipy
+``connected_components`` call per world, one union-find pass per world)
+on the Brightkite-like profile, and verifies that every strategy
+produces identical component *partitions* (labels may differ up to
+per-world renaming; the partition is what every estimator consumes).
+
+The engine fans out to the pool only from
+``connectivity.AUTO_PROCESS_CELLS`` mask cells on; the ``engine-pool``
+row lowers that threshold to zero for the timed call so the pool path is
+measured at this size too.
 
 Scaling knobs (environment variables):
 
@@ -22,10 +30,11 @@ import time
 
 import numpy as np
 
+from repro._oracles import per_world_component_labels
 from repro.datasets import load_profile
 from repro.reliability import (
-    CONNECTIVITY_BACKENDS,
     batch_component_labels,
+    connectivity,
     pair_counts_from_labels,
 )
 from repro.ugraph import sample_edge_masks
@@ -55,57 +64,84 @@ def canonical_partition(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Timed labeling strategies, the per-world oracle baseline first.
+STRATEGIES = ("oracle-scipy", "oracle-union-find", "engine", "engine-pool")
+
+
+def _labeler(strategy: str, n_workers: int | None):
+    """``labels(graph, masks)`` for one strategy."""
+    if strategy.startswith("oracle-"):
+        method = strategy[len("oracle-"):]
+        return lambda graph, masks: per_world_component_labels(
+            graph.n_nodes, graph.edge_src, graph.edge_dst, masks,
+            method=method,
+        )
+    if strategy == "engine":
+        return lambda graph, masks: batch_component_labels(
+            graph, masks, n_workers=1
+        )
+
+    def pooled(graph, masks):
+        threshold = connectivity.AUTO_PROCESS_CELLS
+        connectivity.AUTO_PROCESS_CELLS = 0
+        try:
+            return batch_component_labels(graph, masks, n_workers=n_workers)
+        finally:
+            connectivity.AUTO_PROCESS_CELLS = threshold
+
+    return pooled
+
+
 def run_backend_comparison(
     n_samples: int = CONN_SAMPLES,
     scale: float = CONN_SCALE,
     seed: int = CONN_SEED,
-    backends: tuple[str, ...] = CONNECTIVITY_BACKENDS,
+    strategies: tuple[str, ...] = STRATEGIES,
     repeats: int = 3,
     n_workers: int | None = None,
 ) -> dict:
-    """Time every backend on one shared world batch; verify partitions.
+    """Time every strategy on one shared world batch; verify partitions.
 
-    Returns ``{"rows": [[backend, seconds, speedup_vs_scipy, n_components,
-    partitions_match], ...], "graph": (n_nodes, n_edges),
+    Returns ``{"rows": [[strategy, seconds, speedup_vs_first,
+    n_components, partitions_match], ...], "graph": (n_nodes, n_edges),
     "n_samples": N}``.  ``seconds`` is the best of ``repeats`` timed runs
-    after one untimed warm-up call per backend.
+    after one untimed warm-up call per strategy.  ``n_workers`` sizes
+    the ``engine-pool`` row's pool (default: ``REPRO_NUM_WORKERS`` or
+    the CPU count).
     """
     graph = load_profile("brightkite", scale=scale, seed=seed)
     masks = sample_edge_masks(graph, n_samples, seed=seed)
 
     timings: dict[str, float] = {}
     labelings: dict[str, np.ndarray] = {}
-    for backend in backends:
-        kwargs = {"n_workers": n_workers} if backend == "process" else {}
-        batch_component_labels(
-            graph, masks[: min(16, n_samples)], backend=backend, **kwargs
-        )  # warm-up: imports, allocator, worker pool fork costs
+    for strategy in strategies:
+        label = _labeler(strategy, n_workers)
+        # Warm-up: imports, allocator, worker pool fork costs.
+        label(graph, masks[: min(16, n_samples)])
         best = float("inf")
         for __ in range(repeats):
             started = time.perf_counter()
-            labels = batch_component_labels(
-                graph, masks, backend=backend, **kwargs
-            )
+            labels = label(graph, masks)
             best = min(best, time.perf_counter() - started)
-        timings[backend] = best
-        labelings[backend] = labels
+        timings[strategy] = best
+        labelings[strategy] = labels
 
-    reference_backend = backends[0]
-    reference = canonical_partition(labelings[reference_backend])
-    reference_counts = pair_counts_from_labels(labelings[reference_backend])
+    reference_strategy = strategies[0]
+    reference = canonical_partition(labelings[reference_strategy])
+    reference_counts = pair_counts_from_labels(labelings[reference_strategy])
     rows = []
-    for backend in backends:
+    for strategy in strategies:
         matches = bool(
-            np.array_equal(reference, canonical_partition(labelings[backend]))
+            np.array_equal(reference, canonical_partition(labelings[strategy]))
             and np.array_equal(
-                reference_counts, pair_counts_from_labels(labelings[backend])
+                reference_counts, pair_counts_from_labels(labelings[strategy])
             )
         )
         rows.append([
-            backend,
-            timings[backend],
-            timings[reference_backend] / timings[backend],
-            int(labelings[backend].max(initial=-1) + 1),
+            strategy,
+            timings[strategy],
+            timings[reference_strategy] / timings[strategy],
+            int(labelings[strategy].max(initial=-1) + 1),
             matches,
         ])
     return {
@@ -116,18 +152,28 @@ def run_backend_comparison(
 
 
 def test_bench_connectivity_backends():
-    """Full-scale backend comparison (the recorded benchmark)."""
+    """Full-scale engine-vs-oracle comparison (the recorded benchmark)."""
     import _harness
 
     result = run_backend_comparison()
     n_nodes, n_edges = result["graph"]
-    table = _harness.format_table(
-        ["backend", "seconds", "speedup", "max components/world", "partition ok"],
-        result["rows"],
-    )
+    columns = [
+        "strategy", "seconds", "speedup", "max components/world",
+        "partition ok",
+    ]
+    table = _harness.format_table(columns, result["rows"])
     header = (
         f"brightkite-like profile: n={n_nodes} |E|={n_edges} "
         f"N={result['n_samples']} worlds\n"
     )
-    _harness.emit("bench_connectivity_backends", header + table)
-    assert all(row[4] for row in result["rows"]), "backend partitions diverged"
+    identical = all(row[4] for row in result["rows"])
+    _harness.emit(
+        "bench_connectivity_backends", header + table,
+        data={
+            "graph": {"n_nodes": n_nodes, "n_edges": n_edges},
+            "n_samples": result["n_samples"],
+            "identical": identical,
+            **_harness.table_data(columns, result["rows"]),
+        },
+    )
+    assert identical, "partitions diverged"

@@ -8,7 +8,8 @@ a small sigma-perturbed edge set -- under two evaluation strategies:
   same CRN uniforms: re-threshold the full mask matrix, relabel all N
   base worlds AND all N candidate worlds, recount every query pair on
   both sides, then difference the reliabilities (this is the per-call
-  work of ``reliability_discrepancy(engine="fresh")``);
+  work of the two-estimator oracle
+  ``repro._oracles.fresh_reliability_discrepancy``);
 * ``store`` -- one persistent :class:`repro.reliability.WorldStore`:
   the base side is labeled/counted once, each candidate is a
   :meth:`WorldStore.derive` delta that re-thresholds only the changed
@@ -21,9 +22,10 @@ row's total includes its one-off construction (base sampling, labeling,
 pair counting), so the speedup is end-to-end for a D-candidate search.
 
 A second table times the public ``reliability_discrepancy`` entry point
-under both engines on one materialized candidate (the anonymize ->
-evaluate path; the engines draw different candidate streams there, so
-agreement is statistical rather than bitwise).
+against the two-estimator oracle on one materialized candidate (the
+anonymize -> evaluate path; the candidate adds new pairs, whose worlds
+the two draw from different streams, so agreement is statistical rather
+than bitwise).
 
 A third table isolates the kernel layer: the derive hot path --
 changed-column re-threshold + dirty-world union-find relabeling -- timed
@@ -50,6 +52,7 @@ import time
 
 import numpy as np
 
+from repro._oracles import fresh_reliability_discrepancy
 from repro.datasets import load_profile
 from repro.reliability import (
     WorldStore,
@@ -66,7 +69,6 @@ WS_DELTAS = int(os.environ.get("REPRO_BENCH_WS_DELTAS", "30"))
 WS_EDGES = int(os.environ.get("REPRO_BENCH_WS_EDGES", "40"))
 WS_SEED = 2018
 WS_PAIRS = 20_000
-WS_BACKEND = "batched-scipy"
 
 #: Per-candidate noise scales, log-spaced over the band a converging
 #: sigma bisection actually probes (early coarse sigmas down to the
@@ -112,7 +114,7 @@ def _fresh_eval(store, delta, pairs, seed):
     Redraws the base uniforms (as a fresh estimator does on every call),
     re-thresholds every column, relabels all base and candidate worlds,
     and recounts every pair on both sides -- exactly the per-candidate
-    work ``reliability_discrepancy(engine="fresh")`` performs.  The
+    work the two-estimator oracle performs.  The
     redraw consumes the generator identically to the store's first
     block, so the result stays bit-comparable to the store path; grown
     (new-pair) columns reuse the store's growth blocks.
@@ -126,14 +128,14 @@ def _fresh_eval(store, delta, pairs, seed):
     masks[:, :n_base] = drawn < store._prob[:n_base]
     masks[:, n_base:] = uniforms[:, n_base:] < store._prob[n_base:]
     base_labels = component_labels_for_edges(
-        n, store._src, store._dst, masks, backend=WS_BACKEND
+        n, store._src, store._dst, masks
     )
     base_counts = _pair_equal_counts(base_labels, pairs)
     cols = np.array([store._col_index[(u, v)] for u, v, __, ___ in delta])
     p_new = np.array([entry[3] for entry in delta])
     masks[:, cols] = uniforms[:, cols] < p_new
     cand_labels = component_labels_for_edges(
-        n, store._src, store._dst, masks, backend=WS_BACKEND
+        n, store._src, store._dst, masks
     )
     cand_counts = _pair_equal_counts(cand_labels, pairs)
     base_r = base_counts / n_samples
@@ -167,14 +169,12 @@ def run_store_comparison(
     pairs = sample_vertex_pairs(graph.n_nodes, n_pairs, seed=seed)
 
     # Warm-up store (allocator, imports); discarded before timing.
-    warm = WorldStore(graph, n_samples=min(n_samples, 32), seed=seed,
-                      backend=WS_BACKEND)
+    warm = WorldStore(graph, n_samples=min(n_samples, 32), seed=seed)
     warm.derive(deltas[0]).pair_counts
 
     # --- store path: one persistent store, construction included ----- #
     started = time.perf_counter()
-    store = WorldStore(graph, n_samples=n_samples, seed=seed,
-                       backend=WS_BACKEND)
+    store = WorldStore(graph, n_samples=n_samples, seed=seed)
     base_counts = store.base_pair_equal_counts(pairs)
     views = []
     store_discs = []
@@ -226,12 +226,16 @@ def run_engine_comparison(
     n_pairs: int = WS_PAIRS,
     repeats: int = 3,
 ) -> dict:
-    """Public-API timing: ``reliability_discrepancy`` store vs fresh.
+    """Public-API timing: ``reliability_discrepancy`` vs the fresh oracle.
 
-    One materialized candidate (a mid-band sigma delta), both engines
-    called through the anonymize -> evaluate entry point.  The fresh
-    engine samples the candidate from an independent stream, so the two
-    values agree statistically, not bitwise.
+    One materialized candidate (a mid-band sigma delta) scored by the
+    world store (the anonymize -> evaluate entry point) and by the
+    two-estimator oracle.  This is a timing table only: the two values
+    do not agree.  Each oracle estimator draws its uniforms as one
+    row-major ``(N, |E|)`` matrix, so once the candidate adds pairs every
+    world past the first draws different uniforms for the same edge and
+    the oracle's two sides are unpaired (mostly Monte-Carlo noise).
+    Bit-identity of the store is audited by ``run_store_comparison``.
     """
     graph = load_profile("brightkite", scale=scale, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -240,16 +244,20 @@ def run_engine_comparison(
 
     timings = {}
     values = {}
-    for engine in ("fresh", "store"):
-        reliability_discrepancy(
+    engines = {
+        "fresh": fresh_reliability_discrepancy,
+        "store": reliability_discrepancy,
+    }
+    for engine, discrepancy in engines.items():
+        discrepancy(
             graph, candidate, n_samples=min(n_samples, 32), seed=seed,
-            n_pairs=n_pairs, backend=WS_BACKEND, engine=engine,
+            n_pairs=n_pairs,
         )
         started = time.perf_counter()
         for __ in range(repeats):
-            values[engine] = reliability_discrepancy(
+            values[engine] = discrepancy(
                 graph, candidate, n_samples=n_samples, seed=seed,
-                n_pairs=n_pairs, backend=WS_BACKEND, engine=engine,
+                n_pairs=n_pairs,
             )
         timings[engine] = (time.perf_counter() - started) / repeats
     rows = [
@@ -283,8 +291,7 @@ def run_kernel_comparison(
         _sample_sigma_delta(graph, delta_edges, sigma, rng)
         for sigma in sigmas
     ]
-    store = WorldStore(graph, n_samples=n_samples, seed=seed,
-                       backend=WS_BACKEND)
+    store = WorldStore(graph, n_samples=n_samples, seed=seed)
 
     def derive_stream():
         return [store.derive(delta).labels for delta in deltas]

@@ -1,7 +1,7 @@
 """Unified segment hygiene: shared-memory *and* file-backed registry.
 
 Three engines publish NumPy arrays through named out-of-heap segments:
-the connectivity ``process`` backend and the ``ProcessTrialEngine`` ship
+the connectivity labeling pool and the ``ProcessTrialEngine`` ship
 run-invariant arrays to workers, and the sharded
 :class:`repro.reliability.WorldStore` parks world-chunks (uniforms,
 masks, labels) on disk when a memory budget demands it.  A segment
@@ -33,8 +33,7 @@ makes that impossible to do silently, for **both** kinds:
 
 The registry deliberately lives below both :mod:`repro.core` and
 :mod:`repro.reliability` so either layer can use it without an import
-cycle.  :mod:`repro._shm` re-exports this module's API under its
-historical name.
+cycle.
 """
 
 from __future__ import annotations

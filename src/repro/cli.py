@@ -70,12 +70,7 @@ EXIT_INTERNAL = 4
 #: Exit code when stdout's consumer vanished mid-write (128 + SIGPIPE).
 EXIT_SIGPIPE = 128 + int(getattr(signal, "SIGPIPE", 13))
 from .metrics import compare_graphs
-from .privacy import (
-    OBFUSCATION_CHECKERS,
-    check_obfuscation,
-    expected_degree_knowledge,
-)
-from .reliability.connectivity import CONNECTIVITY_BACKENDS
+from .privacy import check_obfuscation, expected_degree_knowledge
 from .ugraph import read_edge_list, summarize, write_edge_list
 
 __all__ = ["main", "build_parser", "CommandRuntime"]
@@ -116,13 +111,13 @@ class CommandRuntime:
         """
         return None
 
-    def world_store(self, graph, n_samples, seed, backend="auto",
-                    n_workers=None, memory_budget=None):
+    def world_store(self, graph, n_samples, seed, n_workers=None,
+                    memory_budget=None):
         """A pristine CRN world store for ``(graph, n_samples, seed)``."""
         from .reliability.worldstore import WorldStore
 
         return WorldStore(
-            graph, n_samples, seed=seed, backend=backend,
+            graph, n_samples, seed=seed,
             n_workers=n_workers, memory_budget=memory_budget,
         )
 
@@ -152,19 +147,13 @@ def _byte_budget(text: str) -> int:
     return value
 
 
-def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Connectivity-engine flags shared by the Monte-Carlo subcommands."""
-    subparser.add_argument(
-        "--backend", default="auto", choices=CONNECTIVITY_BACKENDS,
-        help="connected-components engine for Monte-Carlo sampling "
-             "(auto: pick batched-scipy or process from the workload "
-             "size; batched-scipy: one block-diagonal labeling pass; "
-             "process: shared-memory multiprocess chunks)",
-    )
+def _add_world_arguments(subparser: argparse.ArgumentParser) -> None:
+    """Deployment flags shared by the Monte-Carlo subcommands."""
     subparser.add_argument(
         "--workers", type=_worker_count, default=None,
-        help="worker count for --backend process "
-             "(default: REPRO_NUM_WORKERS or the CPU count)",
+        help="process-pool size for labeling large world batches and "
+             "for --trial-backend thread/process; 1 keeps labeling in "
+             "process (default: REPRO_NUM_WORKERS or the CPU count)",
     )
     subparser.add_argument(
         "--world-memory-budget", type=_byte_budget, default=None,
@@ -216,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--trials", type=int, default=5)
     anon.add_argument("--seed", type=int, default=None)
     anon.add_argument(
-        "--checker", default="incremental", choices=OBFUSCATION_CHECKERS,
-        help="(k, epsilon) checker for the GenObf trial loop "
-             "(incremental: delta-based degree-pmf cache; "
-             "full: per-trial matrix rebuild, the correctness oracle)",
-    )
-    anon.add_argument(
         "--trial-backend", default="serial",
         choices=("auto", *TRIAL_BACKENDS),
         help="GenObf trial executor (serial: in-process; thread: "
@@ -264,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
              "supervision layer, e.g. 'crash@0.0;delay@*.1:0.5;shm' "
              "(default: the REPRO_FAULTS environment variable)",
     )
-    _add_backend_arguments(anon)
+    _add_world_arguments(anon)
 
     check = sub.add_parser("check", help="evaluate (k, epsilon)-obfuscation")
     check.add_argument("published", help="edge-list file or profile name")
@@ -272,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--epsilon", type=float, default=0.05)
     check.add_argument("--original", default=None,
                        help="graph whose degrees the adversary knows")
-    _add_backend_arguments(check)
+    _add_world_arguments(check)
 
     upd = sub.add_parser(
         "update",
@@ -316,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
              "reliability discrepancy against the pre-update graph "
              "(0 disables)",
     )
-    _add_backend_arguments(upd)
+    _add_world_arguments(upd)
 
     ev = sub.add_parser("evaluate", help="utility comparison of two graphs")
     ev.add_argument("original", help="edge-list file or profile name")
@@ -324,17 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--samples", type=int, default=200)
     ev.add_argument("--seed", type=int, default=None)
     ev.add_argument(
-        "--engine", default="store", choices=("store", "fresh"),
-        help="reliability-group engine (store: one CRN world store, the "
-             "anonymized graph derived as a delta; fresh: two "
-             "independently sampled estimators)",
-    )
-    ev.add_argument(
         "--antithetic", action="store_true",
         help="antithetic world pairing for the reliability group "
              "(requires an even --samples)",
     )
-    _add_backend_arguments(ev)
+    _add_world_arguments(ev)
 
     disc = sub.add_parser(
         "discrepancy",
@@ -350,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
              "so the store is a pure function of (graph, samples, seed) "
              "and a warm service can serve it from cache (default: 0)",
     )
-    _add_backend_arguments(disc)
+    _add_world_arguments(disc)
 
     summ = sub.add_parser("summary", help="dataset characteristics (Table I)")
     summ.add_argument("input", help="edge-list file or profile name")
@@ -490,18 +467,12 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
             # so a service job and a one-shot run pick the same engine
             # (the choice is echoed in the result summary).
             trial_backend = recommended_trial_backend()
-        cache = (
-            runtime.degree_cache(graph)
-            if args.checker == "incremental" else None
-        )
         result = anonymize(graph, args.k, epsilon, method=args.method,
                            seed=args.seed, n_trials=args.trials,
-                           degree_cache=cache,
+                           degree_cache=runtime.degree_cache(graph),
                            observer=runtime.probe_observer,
-                           connectivity_backend=args.backend,
                            n_workers=args.workers,
                            trial_backend=trial_backend,
-                           obfuscation_checker=args.checker,
                            utility_samples=args.utility_samples,
                            world_memory_budget=args.world_memory_budget,
                            trial_timeout=args.trial_timeout,
@@ -528,7 +499,8 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
 
 def _cmd_check(args, out, err, runtime) -> int:
     # The (k, epsilon) check itself is degree-based and never samples
-    # worlds; --backend/--workers are accepted (and argparse-validated)
+    # worlds; --workers/--world-memory-budget are accepted (and
+    # argparse-validated)
     # so scripted anonymize -> check -> evaluate pipelines can pass one
     # uniform flag set without failing on the degree-only stage.
     published = runtime.load(args.published)
@@ -566,8 +538,7 @@ def _cmd_update(args, out, err, runtime) -> int:
     work = None
     if args.samples > 0:
         pristine = runtime.world_store(
-            published, args.samples, args.seed,
-            backend=args.backend, n_workers=args.workers,
+            published, args.samples, args.seed, n_workers=args.workers,
             memory_budget=args.world_memory_budget,
         )
         # The recertifier rebases a COW clone; the pristine store keeps
@@ -632,8 +603,7 @@ def _cmd_evaluate(args, out, err, runtime) -> int:
     anonymized = read_edge_list(args.anonymized)
     comparison = compare_graphs(
         original, anonymized, n_samples=args.samples, seed=args.seed,
-        backend=args.backend, n_workers=args.workers,
-        reliability_engine=args.engine, antithetic=args.antithetic,
+        n_workers=args.workers, antithetic=args.antithetic,
         memory_budget=args.world_memory_budget,
     )
     rows = {
@@ -658,8 +628,7 @@ def _cmd_discrepancy(args, out, err, runtime) -> int:
     # (graph, samples, seed) -- exactly the shape a warm service can
     # cache and clone per request without changing a single bit.
     store = runtime.world_store(
-        original, args.samples, args.seed,
-        backend=args.backend, n_workers=args.workers,
+        original, args.samples, args.seed, n_workers=args.workers,
         memory_budget=args.world_memory_budget,
     )
     view = store.derive(graph_delta(original, anonymized))

@@ -93,9 +93,8 @@ class Chameleon:
         seed:
             Overrides ``config.seed`` for this run.
         degree_cache:
-            Pre-built :class:`DegreeUncertaintyCache` for ``graph`` (only
-            consulted when ``config.obfuscation_checker`` is
-            ``"incremental"``).  Building the cache is the O(n * d^2)
+            Pre-built :class:`DegreeUncertaintyCache` for ``graph``.
+            Building the cache is the O(n * d^2)
             dynamic program a warm service wants to pay once per dataset;
             the cache's output is bit-identical to an internally built
             one, so reuse cannot change results.  It must describe this
@@ -126,21 +125,17 @@ class Chameleon:
         trial_entropy = int(rng.integers(0, 2**63 - 1))
         # One degree-pmf cache serves every GenObf trial of every sigma
         # probe: all candidates are deltas against the same base graph.
-        cache: DegreeUncertaintyCache | None = None
-        if config.obfuscation_checker == "incremental":
-            if degree_cache is not None:
-                if degree_cache.graph is not graph or not np.array_equal(
-                    degree_cache.knowledge, context.knowledge
-                ):
-                    raise ObfuscationError(
-                        "degree_cache was built for a different graph or "
-                        "knowledge vector than this run's"
-                    )
-                cache = degree_cache
-            else:
-                cache = DegreeUncertaintyCache(
-                    graph, knowledge=context.knowledge
+        if degree_cache is not None:
+            if degree_cache.graph is not graph or not np.array_equal(
+                degree_cache.knowledge, context.knowledge
+            ):
+                raise ObfuscationError(
+                    "degree_cache was built for a different graph or "
+                    "knowledge vector than this run's"
                 )
+            cache = degree_cache
+        else:
+            cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
         history: list[tuple[float, float]] = []
         calls = 0
 
@@ -157,7 +152,6 @@ class Chameleon:
             store = WorldStore(
                 graph, config.utility_samples,
                 seed=int(rng.integers(0, 2**63 - 1)),
-                backend=config.connectivity_backend,
                 n_workers=config.n_workers,
                 memory_budget=config.world_memory_budget,
             )

@@ -13,6 +13,12 @@ ME      uniqueness-only          max-entropy (anonymity-oriented)
 ======  =======================  ==========================
 
 (The fourth method, Rep-An, lives in :mod:`repro.baselines`.)
+
+Only algorithmic choices and deployment settings are fields: each
+pipeline stage has one implementation (the GenObf check always runs on
+the incremental degree-pmf cache, connectivity on one labeling engine),
+and the reference implementations they are tested against live in the
+package's private oracle module, not behind a field.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
-from ..privacy.incremental import OBFUSCATION_CHECKERS
-from ..reliability.connectivity import CONNECTIVITY_BACKENDS
 from .faults import FaultPlan
 from .parallel import TRIAL_BACKENDS
 
@@ -54,12 +58,6 @@ class ChameleonConfig:
         Possible worlds used to estimate reliability relevance.
     relevance_method:
         ``"merge-gain"`` (default) or ``"grouped"`` (Algorithm 2 verbatim).
-    connectivity_backend:
-        Connected-components engine of the Monte-Carlo machinery (one of
-        :data:`repro.reliability.connectivity.CONNECTIVITY_BACKENDS`).
-        The default ``"auto"`` resolves per workload: large full-batch
-        labelings go multiprocess, small batches (dirty-world relabels)
-        stay on the in-process batched kernel.
     utility_samples:
         Possible worlds for utility verification during the sigma
         search.  When positive, the anonymizer keeps one persistent
@@ -79,9 +77,10 @@ class ChameleonConfig:
         ``REPRO_WORLD_BACKEND`` override chunk size and block storage
         (``ram`` vs ``memmap``) directly.
     n_workers:
-        Worker count for the ``"process"`` connectivity backend and the
-        pooled trial backends; ``None`` defers to ``REPRO_NUM_WORKERS``
-        / CPU count.
+        Worker count for the connectivity labeling pool (used only by
+        world batches large enough to fan out, see
+        :mod:`repro.reliability.connectivity`) and the pooled trial
+        backends; ``None`` defers to ``REPRO_NUM_WORKERS`` / CPU count.
     trial_backend:
         Execution backend for the GenObf trials of the sigma search (one
         of :data:`repro.core.parallel.TRIAL_BACKENDS`).  ``"serial"``
@@ -91,12 +90,6 @@ class ChameleonConfig:
         runs them on a persistent per-run worker pool over shared-memory
         base state.  Results are bit-identical in every case (per-trial
         ``SeedSequence`` streams keyed by probe and trial index).
-    obfuscation_checker:
-        ``"incremental"`` (default) runs the GenObf trial loop on a
-        :class:`repro.privacy.DegreeUncertaintyCache`, recomputing degree
-        pmfs only for the endpoints of perturbed candidate edges;
-        ``"full"`` rebuilds the whole degree-uncertainty matrix per trial
-        (the correctness oracle -- both produce bit-identical reports).
     selection_mode:
         ``"reliability-sensitive"`` folds (1 - normalized VRR) into the
         vertex sampling weights; ``"uniqueness-only"`` uses uniqueness
@@ -150,12 +143,10 @@ class ChameleonConfig:
     n_trials: int = 5
     relevance_samples: int = 400
     relevance_method: str = "merge-gain"
-    connectivity_backend: str = "auto"
     n_workers: int | None = None
     utility_samples: int = 0
     world_memory_budget: int | None = None
     trial_backend: str = "serial"
-    obfuscation_checker: str = "incremental"
     selection_mode: str = "reliability-sensitive"
     perturbation_mode: str = "max-entropy"
     sigma_initial: float = 1.0
@@ -193,11 +184,6 @@ class ChameleonConfig:
             raise ConfigurationError(
                 f"relevance_samples must be >= 1, got {self.relevance_samples}"
             )
-        if self.connectivity_backend not in CONNECTIVITY_BACKENDS:
-            raise ConfigurationError(
-                "connectivity_backend must be one of "
-                f"{CONNECTIVITY_BACKENDS}, got {self.connectivity_backend!r}"
-            )
         if self.utility_samples < 0:
             raise ConfigurationError(
                 f"utility_samples must be >= 0, got {self.utility_samples}"
@@ -216,11 +202,6 @@ class ChameleonConfig:
             raise ConfigurationError(
                 f"trial_backend must be one of {TRIAL_BACKENDS}, "
                 f"got {self.trial_backend!r}"
-            )
-        if self.obfuscation_checker not in OBFUSCATION_CHECKERS:
-            raise ConfigurationError(
-                "obfuscation_checker must be one of "
-                f"{OBFUSCATION_CHECKERS}, got {self.obfuscation_checker!r}"
             )
         if self.selection_mode not in _SELECTION_MODES:
             raise ConfigurationError(

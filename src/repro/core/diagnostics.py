@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _shm, kernels
+from .. import _segments, kernels
 from ..exceptions import ObfuscationError
 from ..privacy.degree_distribution import expected_degree_knowledge
 from ..ugraph.graph import UncertainGraph
@@ -87,7 +87,7 @@ def execution_environment() -> dict:
     benchmark results file.
 
     Calling this also runs the shared-memory janitor
-    (:func:`repro._shm.reap_orphan_segments`): ``repro-<pid>-...``
+    (:func:`repro._segments.reap_orphan_segments`): ``repro-<pid>-...``
     segments whose owning process died without cleanup are unlinked, and
     the report's ``shm`` section records what was found.
     """
@@ -96,7 +96,7 @@ def execution_environment() -> dict:
         scipy_version = scipy.__version__
     except ImportError:  # pragma: no cover - scipy is a hard dependency
         scipy_version = None
-    reaped = _shm.reap_orphan_segments()
+    reaped = _segments.reap_orphan_segments()
     return {
         "python": sys.version.split()[0],
         "platform": sys.platform,
@@ -109,7 +109,7 @@ def execution_environment() -> dict:
             if name in os.environ
         },
         "shm": {
-            "active_segments": list(_shm.active_segments()),
+            "active_segments": list(_segments.active_segments()),
             "orphans_found": reaped["found"],
             "orphans_reaped": reaped["reaped"],
             "orphans_failed": reaped["failed"],

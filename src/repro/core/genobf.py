@@ -11,11 +11,10 @@ trials; each trial
    per-edge scale equals ``sigma``,
 3. perturbs the candidate probabilities (:mod:`repro.core.noise`), and
 4. checks the (k, epsilon)-obfuscation criterion against the adversary
-   knowledge extracted from the *original* graph -- by default through
-   the incremental :class:`repro.privacy.DegreeUncertaintyCache`, which
-   recomputes degree pmfs only for the perturbed edges' endpoints
-   (``ChameleonConfig.obfuscation_checker`` switches back to the full
-   per-trial matrix rebuild, kept as the correctness oracle).
+   knowledge extracted from the *original* graph through the incremental
+   :class:`repro.privacy.DegreeUncertaintyCache`, which recomputes
+   degree pmfs only for the perturbed edges' endpoints (the full
+   per-trial matrix rebuild is kept as a test oracle).
 
 The best (lowest achieved epsilon) satisfying candidate over the trials
 is returned; the sentinel ``epsilon_achieved = 1`` reports total failure,
@@ -43,7 +42,7 @@ from ..privacy.uniqueness import degree_uniqueness
 from ..reliability.relevance import compute_relevance
 from ..ugraph.graph import UncertainGraph
 from .config import ChameleonConfig
-from .parallel import SerialTrialEngine, _edge_noise_scales  # noqa: F401
+from .parallel import SerialTrialEngine
 from .result import GenObfOutcome
 from .selection import exclusion_set, selection_weights
 
@@ -92,7 +91,6 @@ def build_selection_context(
             n_samples=config.relevance_samples,
             seed=rng,
             method=config.relevance_method,
-            backend=config.connectivity_backend,
             n_workers=config.n_workers,
         )
         vrr = relevance.vertex_relevance
@@ -153,15 +151,12 @@ def gen_obf(
     :func:`repro.core.parallel.trial_generator` -- so trials are
     independent of execution order and this function is the serial
     reference for the parallel backends.  Each trial describes its
-    candidate as delta arrays; with
-    ``config.obfuscation_checker == "incremental"`` the delta feeds a
-    :class:`DegreeUncertaintyCache` (only perturbed endpoints recompute
-    their degree pmfs) and only the winning trial is materialized into a
-    graph.  Pass ``cache`` (built once per anonymization run by
+    candidate as delta arrays that feed a :class:`DegreeUncertaintyCache`
+    (only perturbed endpoints recompute their degree pmfs); only the
+    winning trial is materialized into a graph.  Pass ``cache`` (built
+    once per anonymization run by
     :meth:`repro.core.chameleon.Chameleon.anonymize`) to reuse the base
     pmfs across every sigma probe; otherwise one is built per call.
-    The ``"full"`` checker rebuilds the matrix per trial and serves as
-    the correctness oracle -- both return bit-identical reports.
     """
     rng = as_generator(seed)
     entropy = int(rng.integers(0, 2**63 - 1))

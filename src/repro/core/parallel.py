@@ -60,10 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _segments, _shm
+from .. import _segments
 from ..exceptions import ConfigurationError, InjectedFault, TrialTimeoutError
 from ..privacy.incremental import DegreeUncertaintyCache
-from ..privacy.obfuscation import ObfuscationReport, check_obfuscation
+from ..privacy.obfuscation import ObfuscationReport
 from ..reliability.connectivity import resolve_worker_count
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
@@ -163,7 +163,7 @@ def run_trial(
     probe_index: int,
     trial_index: int,
     entropy: int,
-    cache: DegreeUncertaintyCache | None,
+    cache: DegreeUncertaintyCache,
 ) -> TrialResult:
     """One GenObf trial on its own deterministic stream.
 
@@ -195,16 +195,10 @@ def run_trial(
         white_noise=config.white_noise,
         seed=rng,
     )
-    if config.obfuscation_checker == "incremental":
-        report = cache.check_edge_arrays(
-            us, vs, current, perturbed, config.k, config.epsilon,
-            knowledge=context.knowledge,
-        )
-    else:
-        candidate = apply_edge_updates(graph, us, vs, perturbed)
-        report = check_obfuscation(
-            candidate, config.k, config.epsilon, knowledge=context.knowledge
-        )
+    report = cache.check_edge_arrays(
+        us, vs, current, perturbed, config.k, config.epsilon,
+        knowledge=context.knowledge,
+    )
     satisfied = bool(report.satisfied)
     return TrialResult(
         probe_index,
@@ -270,8 +264,8 @@ class TrialEngine:
         The run's base graph, configuration and sigma-independent
         selection invariants.
     cache:
-        The run's :class:`DegreeUncertaintyCache`; built here when the
-        incremental checker is configured and none is passed.
+        The run's :class:`DegreeUncertaintyCache`; built here when none
+        is passed.
     entropy:
         Per-run root entropy of the trial streams (see
         :func:`trial_generator`).
@@ -296,7 +290,7 @@ class TrialEngine:
         self._graph = graph
         self._config = config
         self._context = context
-        if config.obfuscation_checker == "incremental" and cache is None:
+        if cache is None:
             cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
         self._cache = cache
         self._entropy = int(entropy)
@@ -581,7 +575,7 @@ def _pack_arrays(arrays: dict[str, np.ndarray]):
     The manifest -- ``(name, dtype, shape, offset)`` tuples -- is the
     only thing pickled to workers; the array payload crosses the process
     boundary through the named segment.  The segment comes from the
-    :mod:`repro._shm` registry, so an interpreter death between here and
+    :mod:`repro._segments` registry, so an interpreter death between here and
     :meth:`ProcessTrialEngine.close` is swept at exit instead of leaking.
     """
     contiguous = {
@@ -608,7 +602,7 @@ def _unpack_arrays(shm_name: str, manifest) -> dict[str, np.ndarray]:
     Copying lets the worker detach immediately, so the parent's
     ``close()``/``unlink()`` never races a live view.
     """
-    shm = _shm.attach_segment(shm_name)
+    shm = _segments.attach_segment(shm_name)
     try:
         out: dict[str, np.ndarray] = {}
         for name, dtype, shape, offset in manifest:
@@ -653,12 +647,12 @@ _WORKER_STATE: dict | None = None
 
 def _init_trial_worker(
     shm_name: str, manifest, n_nodes: int, config, entropy: int,
-    has_matrix: bool, poison_attach: bool = False,
+    poison_attach: bool = False,
 ) -> None:
     """Pool initializer: attach, rebuild the run invariants, detach.
 
-    Runs once per worker process.  The base pmf matrix (when the
-    incremental checker is configured) skips the per-vertex DP via
+    Runs once per worker process.  The published base pmf matrix skips
+    the per-vertex DP via
     :meth:`DegreeUncertaintyCache.from_base_matrix`.  ``poison_attach``
     is the fault-injection hook: the initializer dies before touching
     the segment, so the parent's first dispatched wave observes a
@@ -683,11 +677,9 @@ def _init_trial_worker(
         weights=arrays["weights"],
         knowledge=arrays["knowledge"],
     )
-    cache = None
-    if has_matrix:
-        cache = DegreeUncertaintyCache.from_base_matrix(
-            graph, arrays["base_pmf"], knowledge=arrays["knowledge"]
-        )
+    cache = DegreeUncertaintyCache.from_base_matrix(
+        graph, arrays["base_pmf"], knowledge=arrays["knowledge"]
+    )
     _WORKER_STATE = {
         "graph": graph,
         "config": config,
@@ -756,10 +748,8 @@ class ProcessTrialEngine(_PooledTrialEngine):
             "excluded": context.excluded,
             "weights": context.weights,
             "knowledge": context.knowledge,
+            "base_pmf": self._cache.base_matrix,
         }
-        has_matrix = self._cache is not None
-        if has_matrix:
-            arrays["base_pmf"] = self._cache.base_matrix
         self._shm, manifest = _pack_arrays(arrays)
         # None until set_privacy/set_entropy retargets the run; then the
         # (entropy, k, epsilon) triple rides along in every task payload,
@@ -771,7 +761,7 @@ class ProcessTrialEngine(_PooledTrialEngine):
                 max_workers=self._n_workers,
                 initializer=_init_trial_worker,
                 initargs=(self._shm.name, manifest, graph.n_nodes, config,
-                          self._entropy, has_matrix, poison),
+                          self._entropy, poison),
             )
         except BaseException:
             self.close()
@@ -823,7 +813,7 @@ class ProcessTrialEngine(_PooledTrialEngine):
                     worker.join(1.0)  # reap the corpse, avoid zombies
         if self._shm is not None:
             shm, self._shm = self._shm, None
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
 
     def __del__(self):  # best-effort backstop; close() is the contract
         try:

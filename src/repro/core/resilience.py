@@ -85,7 +85,7 @@ _JOURNAL_VERSION = 1
 #: must NOT invalidate a checkpoint).
 _FINGERPRINT_CONFIG_FIELDS = (
     "k", "epsilon", "size_multiplier", "white_noise", "n_trials",
-    "relevance_samples", "relevance_method", "obfuscation_checker",
+    "relevance_samples", "relevance_method",
     "selection_mode", "perturbation_mode", "sigma_initial", "sigma_max",
     "sigma_tolerance", "uniqueness_bandwidth", "name",
 )

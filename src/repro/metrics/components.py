@@ -40,21 +40,19 @@ def isolation_probabilities(graph: UncertainGraph) -> np.ndarray:
 
 def expected_component_count(
     graph: UncertainGraph, n_samples: int = 500, seed=None,
-    backend: str = "scipy", n_workers: int | None = None,
+    n_workers: int | None = None,
 ) -> float:
     """Monte-Carlo estimate of the expected number of components."""
     rng = as_generator(seed)
     masks = sample_edge_masks(graph, n_samples, seed=rng)
-    labels = batch_component_labels(
-        graph, masks, backend=backend, n_workers=n_workers
-    )
+    labels = batch_component_labels(graph, masks, n_workers=n_workers)
     # Labels are consecutive per row, so the count is the row max + 1.
     return float((labels.max(axis=1) + 1.0).mean())
 
 
 def largest_component_statistics(
     graph: UncertainGraph, n_samples: int = 500, seed=None,
-    backend: str = "scipy", n_workers: int | None = None,
+    n_workers: int | None = None,
 ) -> dict:
     """Distribution summary of the largest component's size.
 
@@ -64,9 +62,7 @@ def largest_component_statistics(
     """
     rng = as_generator(seed)
     masks = sample_edge_masks(graph, n_samples, seed=rng)
-    labels = batch_component_labels(
-        graph, masks, backend=backend, n_workers=n_workers
-    )
+    labels = batch_component_labels(graph, masks, n_workers=n_workers)
     sizes = np.empty(n_samples, dtype=np.float64)
     for i in range(n_samples):
         sizes[i] = float(np.bincount(labels[i]).max())

@@ -25,17 +25,14 @@ def average_reliability_discrepancy(
     n_samples: int = 500,
     n_pairs: int | None = None,
     seed=None,
-    backend: str = "scipy",
     n_workers: int | None = None,
-    engine: str = "store",
     antithetic: bool = False,
 ) -> float:
     """Average per-pair reliability discrepancy (the Figure 4/8 y-axis).
 
     See :func:`repro.reliability.reliability_discrepancy`; this wrapper
     fixes ``per_pair=True`` which is the scale-free quantity the paper
-    reports.  ``engine``/``antithetic`` select the world-store derivation
-    path vs. the fresh two-estimator oracle, and antithetic pairing.
+    reports.  ``antithetic`` selects antithetic world pairing.
     """
     return reliability_discrepancy(
         original,
@@ -44,21 +41,18 @@ def average_reliability_discrepancy(
         n_pairs=n_pairs,
         seed=seed,
         per_pair=True,
-        backend=backend,
         n_workers=n_workers,
-        engine=engine,
         antithetic=antithetic,
     )
 
 
 def expected_reliability(
     graph: UncertainGraph, n_samples: int = 500, seed=None,
-    backend: str = "scipy", n_workers: int | None = None,
-    antithetic: bool = False,
+    n_workers: int | None = None, antithetic: bool = False,
 ) -> float:
     """Average all-pairs reliability of one graph (connectivity level)."""
     estimator = ReliabilityEstimator(
         graph, n_samples=n_samples, seed=seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
+        n_workers=n_workers, antithetic=antithetic,
     )
     return estimator.average_all_pairs_reliability()

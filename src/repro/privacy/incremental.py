@@ -60,8 +60,8 @@ Property tests in ``tests/test_incremental.py`` assert report equality
 (entropies, mask, epsilon-hat -- all bitwise) against the full checker
 across randomized graphs and deltas, and
 ``benchmarks/bench_obfuscation_check.py`` records the speedup on
-GenObf-shaped workloads.  The full recompute stays available as the
-correctness oracle behind ``ChameleonConfig.obfuscation_checker``.
+GenObf-shaped workloads.  The full recompute is kept as a test oracle
+in the package's private oracle module.
 """
 
 from __future__ import annotations
@@ -77,10 +77,7 @@ from .degree_distribution import expected_degree_knowledge
 from .entropy import column_entropies
 from .obfuscation import ObfuscationReport, report_from_entropy_profile
 
-__all__ = ["OBFUSCATION_CHECKERS", "DegreeUncertaintyCache"]
-
-#: Selectable checker implementations for ``ChameleonConfig``.
-OBFUSCATION_CHECKERS = ("incremental", "full")
+__all__ = ["DegreeUncertaintyCache"]
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_PROBS = np.zeros(0, dtype=np.float64)

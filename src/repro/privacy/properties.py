@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
 from .._rng import as_generator
 from ..exceptions import ObfuscationError
 from ..ugraph.graph import UncertainGraph
@@ -143,9 +144,10 @@ class ComponentSizeProperty(_SampledProperty):
     name = "component-size"
 
     def _per_world_values(self, graph, src, dst) -> np.ndarray:
-        from ..reliability.connectivity import world_component_labels
-
-        labels = world_component_labels(graph.n_nodes, src, dst)
+        everything = np.ones((1, src.shape[0]), dtype=bool)
+        labels = kernels.masked_component_labels(
+            graph.n_nodes, src, dst, everything
+        )[0]
         sizes = np.bincount(labels)
         return sizes[labels].astype(np.int64)
 

@@ -11,19 +11,15 @@
 """
 
 from .connectivity import (
-    CONNECTIVITY_BACKENDS,
     NUM_WORKERS_ENV,
     batch_component_labels,
     batch_pair_counts,
     component_labels_for_edges,
     pair_counts_from_labels,
-    resolve_backend,
     resolve_worker_count,
     shutdown_worker_pools,
-    world_component_labels,
 )
 from .estimator import (
-    DISCREPANCY_ENGINES,
     ReliabilityEstimator,
     reliability_discrepancy,
     sample_vertex_pairs,
@@ -65,17 +61,13 @@ __all__ = [
     "UnionFind",
     "component_labels",
     "connected_pair_count",
-    "CONNECTIVITY_BACKENDS",
     "NUM_WORKERS_ENV",
-    "resolve_backend",
     "resolve_worker_count",
     "shutdown_worker_pools",
-    "world_component_labels",
     "batch_component_labels",
     "batch_pair_counts",
     "component_labels_for_edges",
     "pair_counts_from_labels",
-    "DISCREPANCY_ENGINES",
     "ReliabilityEstimator",
     "reliability_discrepancy",
     "sample_vertex_pairs",

@@ -3,41 +3,31 @@
 Given the ``(N, |E|)`` world-mask matrix produced by
 :mod:`repro.ugraph.worlds`, these routines compute, per world, the
 connected-component labeling and the number of connected vertex pairs.
-They are the inner loop of every reliability estimator, so five backends
-are provided behind one ``backend=`` parameter:
+They are the inner loop of every reliability estimator, so they run on
+one engine:
 
-* ``batched-scipy``: the in-process batch engine.  Dispatches through
-  the :mod:`repro.kernels` registry: with the compiled backend active a
-  ``nogil`` union-find kernel labels every world directly; the fallback
-  stacks all ``N`` worlds into ONE block-diagonal sparse adjacency
-  (node ids offset by ``world_index * n_nodes``) and labels every world
-  with a single compiled ``connected_components`` call.  Both produce
-  the registry's canonical labeling (per-row consecutive ids in
-  first-appearance order), so the choice is invisible bit for bit.
-* ``process``: chunks the world matrix across a lazily created,
-  *persistent* :class:`~concurrent.futures.ProcessPoolExecutor` whose
-  worker count comes from an explicit ``n_workers`` argument, the
-  ``REPRO_NUM_WORKERS`` environment variable, or ``os.cpu_count()``.
-  The mask matrix crosses the process boundary through
-  :mod:`multiprocessing.shared_memory` -- workers receive only a
+* In process, labeling dispatches through the :mod:`repro.kernels`
+  registry: with the compiled backend active a ``nogil`` union-find
+  kernel labels every world directly; the fallback stacks all ``N``
+  worlds into ONE block-diagonal sparse adjacency (node ids offset by
+  ``world_index * n_nodes``) and labels every world with a single
+  compiled ``connected_components`` call.  Both produce the registry's
+  canonical labeling (per-row consecutive ids in first-appearance
+  order), so the choice is invisible bit for bit.
+* Workloads of at least :data:`AUTO_PROCESS_CELLS` mask cells
+  (``N * |E|``) fan out over a lazily created, *persistent*
+  :class:`~concurrent.futures.ProcessPoolExecutor` when more than one
+  worker is available.  The worker count comes from an explicit
+  ``n_workers`` argument, the ``REPRO_NUM_WORKERS`` environment
+  variable, or ``os.cpu_count()``; one worker keeps labeling in
+  process.  The mask matrix crosses the process boundary through a
+  :mod:`repro._segments` segment -- workers receive only a
   ``(segment name, shape, row slice)`` descriptor, never a pickled
-  mask array -- and each worker runs the batched-scipy kernel on its
-  row slice.  Worth it for very large ``N * |E|`` workloads on
-  multi-core hardware.
-* ``auto``: picks ``batched-scipy`` or ``process`` from the workload
-  size ``N * |E|`` (see :func:`resolve_backend`); below the recorded
-  crossover the pool overhead is never paid.
-* ``scipy``: the historical default -- one sparse adjacency build plus
-  one ``connected_components`` call per world.  Kept as the correctness
-  oracle and for tiny batches where setup costs dominate.
-* ``python``: the :class:`~repro.reliability.union_find.UnionFind`
-  fallback, used in tests to cross-check the compiled paths.
+  mask array -- and each worker runs the same kernel on its row slice.
 
-All backends produce the same component *partitions*; concrete label
-values may differ (each row is renumbered to consecutive ids starting at
-0, but the assignment order is backend-specific).  Every estimator
-quantity in this package depends only on the partition, so backend
-choice never changes results.
+Both paths return the same canonical labels.  The per-world scipy and
+union-find loops this engine replaced live on as test oracles in the
+package's private oracle module.
 """
 
 from __future__ import annotations
@@ -48,20 +38,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_cc
 
-from .. import _segments, _shm, kernels
+from .. import _segments, kernels
 from ..exceptions import ConfigurationError
 from ..ugraph.graph import UncertainGraph
-from .union_find import component_labels as _uf_labels
 
 __all__ = [
-    "CONNECTIVITY_BACKENDS",
     "NUM_WORKERS_ENV",
     "resolve_worker_count",
-    "resolve_backend",
-    "world_component_labels",
     "component_labels_for_edges",
     "batch_component_labels",
     "batch_pair_counts",
@@ -69,53 +53,24 @@ __all__ = [
     "shutdown_worker_pools",
 ]
 
-#: Every selectable connectivity backend, in documentation order.
-CONNECTIVITY_BACKENDS = ("scipy", "python", "batched-scipy", "process", "auto")
-
-#: Environment variable that sets the ``process`` backend's worker count.
+#: Environment variable that sets the labeling pool's worker count.
 NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
 
-#: ``N * |E|`` workload size above which ``auto`` fans out to the process
-#: pool.  The recorded crossover (benchmarks/results/
-#: bench_connectivity_backends.txt) has ``process`` barely ahead of
-#: ``batched-scipy`` at N=1000, |E|=2073 (~2.1M cells); the threshold sits
-#: well above that point so ``auto`` never pays pool overhead below it.
+#: ``N * |E|`` workload size from which labeling fans out to the process
+#: pool.  The threshold is not measured: on the 2-CPU host of
+#: benchmarks/results/bench_connectivity_backends.txt a forced 2-worker
+#: pool already beats the in-process kernel 1.65x at N=1000, |E|=2073
+#: (~2.1M cells, 0.060 s vs 0.099 s), and no recorded workload reaches
+#: 8M cells.  It is kept high so small batches never pay pool start-up.
 AUTO_PROCESS_CELLS = 8_000_000
-
-#: Soft cap on block-diagonal size: the batched kernel splits the world
-#: batch so one stacked adjacency never exceeds this many virtual nodes.
-_BATCH_NODE_LIMIT = 4_000_000
 
 #: Soft cap on the temporary ``(rows, n_nodes)`` bincount matrix used by
 #: the vectorized pair-count accumulation.
 _PAIR_COUNT_BLOCK_ELEMENTS = 8_000_000
 
 
-def _validate_backend(backend: str) -> str:
-    if backend not in CONNECTIVITY_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {CONNECTIVITY_BACKENDS}"
-        )
-    return backend
-
-
-def resolve_backend(backend: str, n_cells: int) -> str:
-    """Resolve ``"auto"`` to a concrete engine for an ``n_cells`` workload.
-
-    ``n_cells`` is the world-matrix size ``N * |E|``.  Workloads at or
-    above :data:`AUTO_PROCESS_CELLS` go to the ``process`` pool; anything
-    smaller stays on the single-process ``batched-scipy`` kernel, which
-    the recorded benchmark shows is at worst a wash below the crossover.
-    Concrete backend names pass through unchanged.
-    """
-    _validate_backend(backend)
-    if backend != "auto":
-        return backend
-    return "process" if n_cells >= AUTO_PROCESS_CELLS else "batched-scipy"
-
-
 def resolve_worker_count(n_workers: int | None = None) -> int:
-    """Worker count for the ``process`` backend.
+    """Worker count for the labeling pool and the pooled trial engines.
 
     Resolution order: explicit ``n_workers`` argument, then the
     ``REPRO_NUM_WORKERS`` environment variable, then ``os.cpu_count()``.
@@ -155,92 +110,6 @@ def _validate_masks(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
     return masks
 
 
-def world_component_labels(
-    n_nodes: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    backend: str = "scipy",
-) -> np.ndarray:
-    """Component labels (0-based consecutive) for one deterministic world."""
-    if backend == "python":
-        raw = _uf_labels(n_nodes, src, dst)
-        __, labels = np.unique(raw, return_inverse=True)
-        return labels.astype(np.int32)
-    if backend != "scipy":
-        raise ValueError(f"unknown backend {backend!r}")
-    if src.size == 0:
-        return np.arange(n_nodes, dtype=np.int32)
-    data = np.ones(src.shape[0], dtype=np.int8)
-    adjacency = coo_matrix((data, (src, dst)), shape=(n_nodes, n_nodes))
-    __, labels = _scipy_cc(adjacency, directed=False)
-    return labels.astype(np.int32)
-
-
-def _renumber_rows(labels: np.ndarray, n_components: int) -> np.ndarray:
-    """Map global block-diagonal component ids to per-row consecutive ids.
-
-    ``labels`` is ``(N, n_nodes)`` holding globally unique component ids
-    (components never span worlds); each row is relabeled to
-    ``0 .. c_row - 1`` in ascending global-id order, fully vectorized.
-    """
-    n_samples, n_nodes = labels.shape
-    comp_row = np.empty(n_components, dtype=np.int64)
-    comp_row[labels.ravel()] = np.repeat(
-        np.arange(n_samples, dtype=np.int64), n_nodes
-    )
-    per_row = np.bincount(comp_row, minlength=n_samples)
-    order = np.argsort(comp_row, kind="stable")
-    row_starts = np.repeat(np.cumsum(per_row) - per_row, per_row)
-    renumbered = np.empty(n_components, dtype=np.int32)
-    renumbered[order] = (np.arange(n_components) - row_starts).astype(np.int32)
-    return renumbered[labels]
-
-
-def _batched_labels(
-    n_nodes: int, src: np.ndarray, dst: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """Label a world batch with ONE block-diagonal ``connected_components``.
-
-    World ``i``'s vertex ``v`` becomes virtual node ``i * n_nodes + v``;
-    stacking every realized edge with that offset yields a single sparse
-    graph whose components are exactly the per-world components.
-    """
-    n_samples = masks.shape[0]
-    if n_samples == 0:
-        return np.empty((0, n_nodes), dtype=np.int32)
-    if n_nodes == 0:
-        return np.empty((n_samples, 0), dtype=np.int32)
-    world_idx, edge_idx = np.nonzero(masks)
-    offsets = world_idx * n_nodes
-    total = n_samples * n_nodes
-    # csgraph works on int32 indices internally; building the CSR with
-    # them up front avoids a 2x index-copy inside connected_components.
-    index_dtype = np.int32 if total < np.iinfo(np.int32).max else np.int64
-    rows = (src[edge_idx] + offsets).astype(index_dtype, copy=False)
-    cols = (dst[edge_idx] + offsets).astype(index_dtype, copy=False)
-    data = np.ones(rows.shape[0], dtype=np.int8)
-    adjacency = csr_matrix((data, (rows, cols)), shape=(total, total))
-    n_components, flat = _scipy_cc(adjacency, directed=False)
-    return _renumber_rows(flat.reshape(n_samples, n_nodes), n_components)
-
-
-def _batched_labels_chunked(
-    n_nodes: int, src: np.ndarray, dst: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """Batched labeling, split so the stacked graph stays memory-bounded."""
-    n_samples = masks.shape[0]
-    if n_nodes == 0 or n_samples == 0:
-        return np.empty((n_samples, n_nodes), dtype=np.int32)
-    worlds_per_chunk = max(1, _BATCH_NODE_LIMIT // n_nodes)
-    if n_samples <= worlds_per_chunk:
-        return _batched_labels(n_nodes, src, dst, masks)
-    parts = [
-        _batched_labels(n_nodes, src, dst, masks[start:start + worlds_per_chunk])
-        for start in range(0, n_samples, worlds_per_chunk)
-    ]
-    return np.concatenate(parts, axis=0)
-
-
 #: Lazily created, reused process pools keyed by worker count.  Spawning
 #: a pool costs tens of milliseconds; the Monte-Carlo loops call
 #: ``_process_labels`` hundreds of times per run, so the pool persists
@@ -257,7 +126,7 @@ def _get_pool(n_workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown_worker_pools() -> None:
-    """Shut down every persistent ``process``-backend pool."""
+    """Shut down every persistent labeling pool."""
     for pool in _WORKER_POOLS.values():
         pool.shutdown(wait=False, cancel_futures=True)
     _WORKER_POOLS.clear()
@@ -272,7 +141,7 @@ def _create_shared_masks(masks: np.ndarray) -> "_segments.Segment":
     The kind follows ``REPRO_SEGMENT_KIND``: POSIX shared memory by
     default, file-backed memmap segments where ``/dev/shm`` is scarce.
 
-    The segment comes from the :mod:`repro._shm` registry, so an
+    The segment comes from the :mod:`repro._segments` registry, so an
     interpreter killed between creation and the ``finally`` unlink in
     :func:`_process_labels` is swept at exit instead of leaking.
     """
@@ -310,7 +179,7 @@ def _shared_mask_payloads(
 
 
 def _labels_shm_worker(payload) -> np.ndarray:
-    """Module-level worker (picklable) for the ``process`` backend.
+    """Module-level worker (picklable) for the labeling pool.
 
     Attaches to the parent's shared-memory segment, copies its assigned
     row slice out (the kernel reorders rows via fancy indexing anyway),
@@ -318,7 +187,7 @@ def _labels_shm_worker(payload) -> np.ndarray:
     the segment as soon as every worker has read its slice.
     """
     n_nodes, src, dst, shm_name, shape, start, stop = payload
-    shm = _shm.attach_segment(shm_name)
+    shm = _segments.attach_segment(shm_name)
     try:
         view = np.ndarray(shape, dtype=np.bool_, buffer=shm.buf)
         chunk = np.array(view[start:stop], copy=True)
@@ -360,7 +229,7 @@ def _process_labels(
             raise
         return np.concatenate(parts, axis=0)
     finally:
-        _shm.release_segment(shm)
+        _segments.release_segment(shm)
 
 
 def component_labels_for_edges(
@@ -368,7 +237,6 @@ def component_labels_for_edges(
     src: np.ndarray,
     dst: np.ndarray,
     masks: np.ndarray,
-    backend: str = "batched-scipy",
     n_workers: int | None = None,
 ) -> np.ndarray:
     """Component labels for a world batch over an explicit edge universe.
@@ -376,8 +244,7 @@ def component_labels_for_edges(
     Same contract as :func:`batch_component_labels` but parameterized by
     raw endpoint arrays instead of an :class:`UncertainGraph`, so callers
     whose edge universe outgrew the base graph (the world store's derived
-    candidates) can reuse every backend.  ``masks`` must be
-    ``(N, len(src))``.
+    candidates) share the engine.  ``masks`` must be ``(N, len(src))``.
     """
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1] != src.shape[0]:
@@ -386,45 +253,30 @@ def component_labels_for_edges(
         )
     if masks.dtype != np.bool_:
         masks = masks.astype(bool)
-    backend = resolve_backend(backend, masks.shape[0] * max(1, masks.shape[1]))
-    if backend == "batched-scipy":
-        # In-process batch engine; the kernel registry picks the actual
-        # implementation (compiled union-find vs block-diagonal scipy --
-        # bit-identical canonical labels either way).
-        return kernels.masked_component_labels(n_nodes, src, dst, masks)
-    if backend == "process":
-        return _process_labels(
-            n_nodes, src, dst, masks, resolve_worker_count(n_workers)
-        )
-    n_samples = masks.shape[0]
-    out = np.empty((n_samples, n_nodes), dtype=np.int32)
-    for i in range(n_samples):
-        keep = masks[i]
-        out[i] = world_component_labels(
-            n_nodes, src[keep], dst[keep], backend=backend
-        )
-    return out
+    if masks.shape[0] * max(1, masks.shape[1]) >= AUTO_PROCESS_CELLS:
+        workers = resolve_worker_count(n_workers)
+        if workers > 1:
+            return _process_labels(n_nodes, src, dst, masks, workers)
+    return kernels.masked_component_labels(n_nodes, src, dst, masks)
 
 
 def batch_component_labels(
     graph: UncertainGraph,
     masks: np.ndarray,
-    backend: str = "scipy",
     n_workers: int | None = None,
 ) -> np.ndarray:
     """Component labels for every sampled world.
 
     Returns an ``(N, n_nodes)`` int32 matrix; row ``i`` labels world ``i``
-    with consecutive component ids starting at 0.  ``backend`` selects
-    the engine (see module docstring; ``"auto"`` resolves per workload
-    via :func:`resolve_backend`); ``n_workers`` only affects the
-    ``process`` backend (see :func:`resolve_worker_count`).
+    with consecutive component ids starting at 0, in first-appearance
+    order.  ``n_workers`` sizes the process pool that batches of at least
+    :data:`AUTO_PROCESS_CELLS` cells fan out to (see
+    :func:`resolve_worker_count`); it never changes the labels.
     """
-    _validate_backend(backend)
     masks = _validate_masks(graph, masks)
     return component_labels_for_edges(
         graph.n_nodes, graph.edge_src, graph.edge_dst, masks,
-        backend=backend, n_workers=n_workers,
+        n_workers=n_workers,
     )
 
 
@@ -461,10 +313,9 @@ def pair_counts_from_labels(labels: np.ndarray) -> np.ndarray:
 def batch_pair_counts(
     graph: UncertainGraph,
     masks: np.ndarray,
-    backend: str = "scipy",
     n_workers: int | None = None,
 ) -> np.ndarray:
     """Connected-pair count of every sampled world (``cc(G)`` in Alg. 2)."""
     return pair_counts_from_labels(
-        batch_component_labels(graph, masks, backend=backend, n_workers=n_workers)
+        batch_component_labels(graph, masks, n_workers=n_workers)
     )

@@ -20,10 +20,11 @@ consumes the generator exactly like ``sample_edge_masks``).
 For large graphs the exact sum over all ``n(n-1)/2`` pairs is replaced by
 a uniform sample of vertex pairs, reported as the *average* discrepancy
 per pair (the quantity Figure 4 of the paper plots), optionally rescaled
-to the full-sum estimate.  Its default ``engine="store"`` evaluates the
-anonymized graph as a delta against the original's world store; the
-``"fresh"`` engine (two independently built estimators over common
-random numbers) is kept as the oracle path.
+to the full-sum estimate.  It evaluates the anonymized graph as a delta
+against the original's world store; the two-estimator computation it
+replaced (two independently built estimators over common random
+numbers) is kept as a test oracle in the package's private oracle
+module.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .._rng import as_generator
 from ..exceptions import EstimationError
 from ..ugraph.graph import UncertainGraph
 from .worldstore import (
-    DEFAULT_PAIR_SAMPLE,
-    FULL_MATRIX_LIMIT,
-    PAIRWISE_BLOCK_ELEMENTS,
     DerivedWorlds,
     WorldStore,
     graph_delta,
@@ -50,12 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 1000
-# Backward-compatible aliases (the limits now live in worldstore).
-_FULL_MATRIX_LIMIT = FULL_MATRIX_LIMIT
-_PAIRWISE_BLOCK_ELEMENTS = PAIRWISE_BLOCK_ELEMENTS
-
-#: Engines accepted by :func:`reliability_discrepancy`.
-DISCREPANCY_ENGINES = ("store", "fresh")
 
 
 class ReliabilityEstimator:
@@ -70,14 +62,10 @@ class ReliabilityEstimator:
         sweet spot (citing Potamias et al.).
     seed:
         Reproducibility seed / generator.
-    backend:
-        Connected-components backend (one of
-        :data:`repro.reliability.connectivity.CONNECTIVITY_BACKENDS`:
-        ``"scipy"``, ``"python"``, ``"batched-scipy"``, ``"process"``,
-        ``"auto"``).
     n_workers:
-        Worker count for the ``"process"`` backend; ``None`` defers to
-        the ``REPRO_NUM_WORKERS`` environment variable / CPU count.
+        Labeling-pool size for large world batches (see
+        :mod:`repro.reliability.connectivity`); ``None`` defers to the
+        ``REPRO_NUM_WORKERS`` environment variable / CPU count.
     antithetic:
         Sample worlds in antithetic (negatively correlated) pairs --
         unbiased, lower variance for monotone statistics; requires an
@@ -94,7 +82,6 @@ class ReliabilityEstimator:
         graph: UncertainGraph,
         n_samples: int = DEFAULT_SAMPLES,
         seed=None,
-        backend: str = "scipy",
         antithetic: bool = False,
         n_workers: int | None = None,
         memory_budget: int | None = None,
@@ -108,7 +95,7 @@ class ReliabilityEstimator:
         self._graph = graph
         self._n_samples = int(n_samples)
         self._store = WorldStore(
-            graph, n_samples, seed=seed, backend=backend,
+            graph, n_samples, seed=seed,
             n_workers=n_workers, antithetic=antithetic,
             memory_budget=memory_budget,
         )
@@ -202,9 +189,7 @@ def reliability_discrepancy(
     n_pairs: int | None = None,
     seed=None,
     per_pair: bool = True,
-    backend: str = "scipy",
     n_workers: int | None = None,
-    engine: str = "store",
     antithetic: bool = False,
     memory_budget: int | None = None,
 ) -> float:
@@ -215,7 +200,7 @@ def reliability_discrepancy(
     original, anonymized:
         Graphs over the same vertex set (edge sets may differ).
     n_samples:
-        Worlds sampled from *each* graph.
+        Worlds sampled from the original graph.
     n_pairs:
         If ``None``, all unordered pairs are evaluated when the graph is
         small enough, otherwise 20,000 pairs are sampled.  An explicit int
@@ -224,79 +209,30 @@ def reliability_discrepancy(
         If True (default) return the *average* discrepancy per evaluated
         pair -- the scale-free quantity the paper's figures report.  If
         False, return the (estimated) total sum over all pairs.
-    backend, n_workers:
-        Connectivity engine selection.
-    engine:
-        ``"store"`` (default) samples one :class:`WorldStore` from the
-        original and derives the anonymized graph as a delta -- the
-        common random numbers become structural, so ``Delta(G, G)`` is
-        exactly 0 and only flipped worlds are relabeled.  ``"fresh"``
-        builds two independent estimators over the same seed (the
-        pre-store oracle path).  When the anonymized graph reuses the
-        original's edge universe (the GenObf case), both engines are
-        bit-identical.
+    n_workers:
+        Labeling-pool size (see :mod:`repro.reliability.connectivity`).
     antithetic:
-        Sample worlds in antithetic pairs (both engines).
+        Sample worlds in antithetic pairs.
     memory_budget:
         Byte cap on the world state materialized at once (see
         :class:`WorldStore`); results are unchanged, only peak memory.
 
-    The same sampled pair set is applied to both graphs so the comparison
-    is paired, which dramatically reduces estimator variance.
+    One :class:`WorldStore` is sampled from the original and the
+    anonymized graph is derived from it as a delta: the common random
+    numbers are structural, so ``Delta(G, G)`` is exactly 0, shared
+    edges realize identically in both graphs, and only flipped worlds
+    are relabeled.  The same sampled pair set scores both graphs, so the
+    comparison is paired, which dramatically reduces estimator variance.
     """
     if original.n_nodes != anonymized.n_nodes:
         raise EstimationError("graphs must share the vertex set")
-    if engine not in DISCREPANCY_ENGINES:
-        raise EstimationError(
-            f"unknown discrepancy engine {engine!r}, "
-            f"expected one of {DISCREPANCY_ENGINES}"
-        )
-    n = original.n_nodes
     rng = as_generator(seed)
-    # Common random numbers: both graphs sample worlds from the SAME seed,
-    # so shared edges realize identically.  This pairs the comparison
-    # (large variance reduction) and makes Delta(G, G) exactly zero.
-    shared_seed = int(rng.integers(0, 2**63 - 1))
-
-    if engine == "store":
-        store = WorldStore(
-            original, n_samples, seed=shared_seed, backend=backend,
-            n_workers=n_workers, antithetic=antithetic,
-            memory_budget=memory_budget,
-        )
-        view = store.derive(graph_delta(original, anonymized))
-        return store.discrepancy(
-            view, n_pairs=n_pairs, seed=rng, per_pair=per_pair
-        )
-
-    est_a = ReliabilityEstimator(
-        original, n_samples, seed=shared_seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
+    store = WorldStore(
+        original, n_samples, seed=int(rng.integers(0, 2**63 - 1)),
+        n_workers=n_workers, antithetic=antithetic,
         memory_budget=memory_budget,
     )
-    est_b = ReliabilityEstimator(
-        anonymized, n_samples, seed=shared_seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
-        memory_budget=memory_budget,
+    view = store.derive(graph_delta(original, anonymized))
+    return store.discrepancy(
+        view, n_pairs=n_pairs, seed=rng, per_pair=per_pair
     )
-
-    total_pairs = n * (n - 1) / 2
-    use_all = n_pairs is None and n <= FULL_MATRIX_LIMIT
-    if use_all:
-        diff = np.abs(est_a.pairwise_reliability() - est_b.pairwise_reliability())
-        total = float(np.triu(diff, k=1).sum())
-        evaluated = total_pairs
-    else:
-        m = int(n_pairs) if n_pairs is not None else DEFAULT_PAIR_SAMPLE
-        pairs = sample_vertex_pairs(n, m, seed=rng)
-        diff = np.abs(
-            est_a.reliability_of_pairs(pairs) - est_b.reliability_of_pairs(pairs)
-        )
-        total = float(diff.sum())
-        evaluated = m
-
-    if per_pair:
-        return total / evaluated
-    if use_all:
-        return total
-    return total / evaluated * total_pairs

@@ -74,30 +74,6 @@ class RelevanceResult:
         return self.vertex_relevance / top
 
 
-def _merge_gain_accumulate_loop(
-    graph: UncertainGraph, masks: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-world reference for :func:`_merge_gain_accumulate`.
-
-    Kept as the oracle of the equality property test
-    (``tests/test_relevance.py``); the vectorized path must match it
-    bit-for-bit.
-    """
-    n_samples = masks.shape[0]
-    src, dst = graph.edge_src, graph.edge_dst
-    gain_sums = np.zeros(graph.n_edges, dtype=np.float64)
-    absent_counts = np.zeros(graph.n_edges, dtype=np.int64)
-    for i in range(n_samples):
-        row = labels[i]
-        sizes = np.bincount(row)
-        lu, lv = row[src], row[dst]
-        gains = np.where(lu != lv, sizes[lu].astype(np.float64) * sizes[lv], 0.0)
-        absent = ~masks[i]
-        gain_sums[absent] += gains[absent]
-        absent_counts += absent
-    return gain_sums, absent_counts
-
-
 def _merge_gain_accumulate(
     graph: UncertainGraph, masks: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +87,9 @@ def _merge_gain_accumulate(
     pair at once.  Gains are products of component sizes -- integers
     bounded by ``n^2``, with totals far below 2^53 -- so every partial
     sum is exactly representable and the reordered summation is
-    bit-identical to :func:`_merge_gain_accumulate_loop`.  Chunking keeps
-    the ``(worlds, n)`` and ``(worlds, |E|)`` intermediates bounded.
+    bit-identical to the per-world reference loop (the test oracle).
+    Chunking keeps the ``(worlds, n)`` and ``(worlds, |E|)``
+    intermediates bounded.
     """
     n_samples = masks.shape[0]
     n = graph.n_nodes
@@ -208,7 +185,6 @@ def edge_reliability_relevance(
     n_samples: int = 1000,
     seed=None,
     method: str = "merge-gain",
-    backend: str = "scipy",
     n_workers: int | None = None,
 ) -> np.ndarray:
     """Estimate ``ERR(e)`` for every edge with shared sampled worlds.
@@ -218,9 +194,8 @@ def edge_reliability_relevance(
     method:
         ``"grouped"`` (Algorithm 2 as published) or ``"merge-gain"``
         (lower-variance default; see module docstring).
-    backend, n_workers:
-        Connectivity engine selection (see
-        :mod:`repro.reliability.connectivity`).
+    n_workers:
+        Labeling-pool size (see :mod:`repro.reliability.connectivity`).
 
     Returns the ``(|E|,)`` non-negative relevance vector aligned with the
     graph's dense edge indexing.
@@ -231,9 +206,7 @@ def edge_reliability_relevance(
         raise EstimationError(f"unknown relevance method {method!r}")
     rng = as_generator(seed)
     masks = sample_edge_masks(graph, n_samples, seed=rng)
-    labels = batch_component_labels(
-        graph, masks, backend=backend, n_workers=n_workers
-    )
+    labels = batch_component_labels(graph, masks, n_workers=n_workers)
 
     present_counts = masks.sum(axis=0)
     absent_counts = n_samples - present_counts
@@ -256,7 +229,7 @@ def edge_reliability_relevance(
     degenerate_ids = np.flatnonzero(degenerate)
     if degenerate_ids.size:
         store = WorldStore.from_masks(
-            graph, masks, backend=backend, n_workers=n_workers, labels=labels
+            graph, masks, n_workers=n_workers, labels=labels
         )
         err[degenerate_ids] = _forced_absent_err_batch(
             graph, degenerate_ids, store
@@ -288,13 +261,12 @@ def compute_relevance(
     n_samples: int = 1000,
     seed=None,
     method: str = "merge-gain",
-    backend: str = "scipy",
     n_workers: int | None = None,
 ) -> RelevanceResult:
     """One-call edge + vertex relevance computation."""
     err = edge_reliability_relevance(
         graph, n_samples=n_samples, seed=seed, method=method,
-        backend=backend, n_workers=n_workers,
+        n_workers=n_workers,
     )
     vrr = vertex_reliability_relevance(graph, err)
     return RelevanceResult(

@@ -208,12 +208,10 @@ class WorldStore:
         Seed / generator.  With the same seed, the store's base masks are
         bitwise equal to ``sample_edge_masks(graph, n_samples, seed)`` --
         uniforms are drawn with identical generator consumption.
-    backend:
-        Connectivity backend for labeling; ``"auto"`` (default) resolves
-        per workload, so full-batch labeling may go multiprocess while a
-        small dirty set stays on the in-process kernel.
     n_workers:
-        Worker count for the ``process`` backend.
+        Labeling-pool size (see :mod:`repro.reliability.connectivity`):
+        a large full-batch labeling may go multiprocess while a small
+        dirty set stays on the in-process kernel.
     antithetic:
         Draw uniforms in antithetic pairs (row ``2i+1`` uses ``1 - U`` of
         row ``2i``), matching ``sample_edge_masks(..., antithetic=True)``
@@ -245,7 +243,6 @@ class WorldStore:
         graph: UncertainGraph,
         n_samples: int = 1000,
         seed=None,
-        backend: str = "auto",
         n_workers: int | None = None,
         antithetic: bool = False,
         chunk_worlds: int | None = None,
@@ -273,7 +270,6 @@ class WorldStore:
         self._growth_entropy = int(
             copy.deepcopy(self._rng).integers(0, 2**63)
         )
-        self._backend = backend
         self._n_workers = n_workers
         self._antithetic = bool(antithetic)
         self._memory_budget = (
@@ -352,7 +348,6 @@ class WorldStore:
         cls,
         graph: UncertainGraph,
         masks: np.ndarray,
-        backend: str = "auto",
         n_workers: int | None = None,
         labels: np.ndarray | None = None,
         memory_budget: int | None = None,
@@ -371,7 +366,7 @@ class WorldStore:
                 f"mask matrix must be (N, {graph.n_edges}), got {masks.shape}"
             )
         store = cls(
-            graph, n_samples=masks.shape[0], backend=backend,
+            graph, n_samples=masks.shape[0],
             n_workers=n_workers, memory_budget=memory_budget,
         )
         store._has_uniforms = False
@@ -419,7 +414,6 @@ class WorldStore:
         twin._n_samples = self._n_samples
         twin._rng = copy.deepcopy(self._rng)
         twin._growth_entropy = self._growth_entropy
-        twin._backend = self._backend
         twin._n_workers = self._n_workers
         twin._antithetic = self._antithetic
         twin._memory_budget = self._memory_budget
@@ -585,7 +579,7 @@ class WorldStore:
         for (start, stop), m_block in zip(self._chunks, self._m_blocks):
             labels = component_labels_for_edges(
                 n, self._src, self._dst, m_block,
-                backend=self._backend, n_workers=self._n_workers,
+                n_workers=self._n_workers,
             )
             if self._store_backend == "memmap":
                 block = self._alloc_block(labels.shape, labels.dtype)
@@ -980,7 +974,7 @@ class WorldStore:
                 dirty_masks[:, col_arr] = nc[d]
                 label_parts.append(component_labels_for_edges(
                     n, self._src, self._dst, dirty_masks,
-                    backend=self._backend, n_workers=self._n_workers,
+                    n_workers=self._n_workers,
                 ))
             dirty_labels = (
                 label_parts[0] if len(label_parts) == 1
@@ -1116,7 +1110,7 @@ class WorldStore:
                 dirty_masks[:, col_arr] = nc[d]
                 labels = component_labels_for_edges(
                     n, self._src, self._dst, dirty_masks,
-                    backend=self._backend, n_workers=self._n_workers,
+                    n_workers=self._n_workers,
                 )
                 fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
                 fresh_l[:] = old_l

@@ -50,7 +50,7 @@ import signal
 import time
 from pathlib import Path
 
-from .. import _shm
+from .. import _segments
 from ..exceptions import ServerError
 from .cache import CachedResult, ResultCache
 from .fingerprint import CACHEABLE_COMMANDS, OUTPUT_FIELDS, job_fingerprint
@@ -91,10 +91,10 @@ def _make_runtime(registry: DatasetRegistry, job: Job):
         def degree_cache(self, graph):
             return registry.degree_cache(graph)
 
-        def world_store(self, graph, n_samples, seed, backend="auto",
-                        n_workers=None, memory_budget=None):
+        def world_store(self, graph, n_samples, seed, n_workers=None,
+                        memory_budget=None):
             return registry.world_store(
-                graph, n_samples, seed, backend=backend,
+                graph, n_samples, seed,
                 n_workers=n_workers, memory_budget=memory_budget,
             )
 
@@ -277,7 +277,7 @@ class ChameleonService:
             # backend); only segments nobody accounts for are potential
             # leaks.
             "shm_segments": list(
-                _shm.active_segments(include_pinned=False)
+                _segments.active_segments(include_pinned=False)
             ),
         }}
 
@@ -371,7 +371,7 @@ class ChameleonService:
             # Pinned segments still alive here belong to other live
             # stores in this process (e.g. another service instance in
             # the tests); sweep only what nobody accounts for.
-            swept = _shm.sweep_segments(
+            swept = _segments.sweep_segments(
                 "service shutdown", include_pinned=False
             )
             if swept:

@@ -1,12 +1,13 @@
 """Tier-1 smoke runs of the perf benchmarks (tiny scale).
 
-Executes the comparison routines of
-``benchmarks/bench_connectivity_backends.py`` and
-``benchmarks/bench_obfuscation_check.py`` at sizes where timing is
-meaningless but every backend / checker code path -- including the
-multiprocess pool and the incremental delta cache -- is exercised on
-each test run.  Marked ``benchmark_smoke`` so they can be selected or
-skipped with ``-m``.
+Executes the comparison routines of the perf benchmarks
+(``benchmarks/bench_connectivity_backends.py``,
+``benchmarks/bench_obfuscation_check.py`` and the other twins) and one
+evaluation of each ablation bench at sizes where timing is meaningless
+but every engine / oracle code path -- including the multiprocess pool
+and the incremental delta cache -- is exercised on each test run.
+Marked ``benchmark_smoke`` so they can be selected or skipped with
+``-m``.
 """
 
 import sys
@@ -19,6 +20,8 @@ BENCHMARKS_DIR = str(Path(__file__).resolve().parent.parent / "benchmarks")
 if BENCHMARKS_DIR not in sys.path:
     sys.path.insert(0, BENCHMARKS_DIR)
 
+import bench_ablation_perturbation as bench_abl_pert  # noqa: E402
+import bench_ablation_selection as bench_abl_sel  # noqa: E402
 import bench_connectivity_backends as bench  # noqa: E402
 import bench_incremental_update as bench_upd  # noqa: E402
 import bench_obfuscation_check as bench_obf  # noqa: E402
@@ -32,9 +35,11 @@ def test_backend_comparison_smoke():
         n_samples=12, scale=0.15, repeats=1, n_workers=2
     )
     assert result["n_samples"] == 12
-    backends = [row[0] for row in result["rows"]]
-    assert set(backends) == {"scipy", "python", "batched-scipy", "process", "auto"}
-    assert all(row[4] for row in result["rows"]), "backend partitions diverged"
+    strategies = [row[0] for row in result["rows"]]
+    assert strategies == [
+        "oracle-scipy", "oracle-union-find", "engine", "engine-pool"
+    ]
+    assert all(row[4] for row in result["rows"]), "partitions diverged"
     assert all(row[1] >= 0.0 for row in result["rows"])
 
 
@@ -92,7 +97,8 @@ def test_world_store_comparison_smoke():
 
 @pytest.mark.benchmark_smoke
 def test_world_store_engine_smoke():
-    """Public reliability_discrepancy entry point under both engines."""
+    """Public reliability_discrepancy entry point against the
+    two-estimator oracle."""
     result = bench_ws.run_engine_comparison(
         scale=0.15, n_samples=16, n_pairs=200, repeats=1
     )
@@ -128,3 +134,18 @@ def test_canonical_partition_invariant_to_renaming():
     np.testing.assert_array_equal(
         bench.canonical_partition(labels), bench.canonical_partition(renamed)
     )
+
+
+@pytest.mark.benchmark_smoke
+def test_ablation_perturbation_evaluate_smoke():
+    """One guided-perturbation evaluation runs end to end."""
+    entropy, eps_hat = bench_abl_pert._evaluate("max-entropy", 0.1)
+    assert np.isfinite(entropy)
+    assert 0.0 <= eps_hat <= 1.0
+
+
+@pytest.mark.benchmark_smoke
+def test_ablation_selection_loss_smoke():
+    """One selection-ablation loss runs end to end."""
+    loss = bench_abl_sel._loss_under("reliability-sensitive", 0.1)
+    assert np.isfinite(loss) and loss >= 0.0

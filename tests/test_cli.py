@@ -173,50 +173,54 @@ def test_backend_flags_parse():
         ["check", "a.pel", "--k", "3"],
         ["evaluate", "a.pel", "b.pel"],
     ):
-        args = parser.parse_args(
-            command_tail + ["--backend", "batched-scipy", "--workers", "2"]
-        )
-        assert args.backend == "batched-scipy"
+        args = parser.parse_args(command_tail + ["--workers", "2"])
         assert args.workers == 2
+        assert not hasattr(args, "backend")
 
 
 def test_checker_flag_parses_and_rejects_unknown(capsys):
+    """The check always runs on the incremental cache: no --checker."""
     parser = build_parser()
     args = parser.parse_args(["anonymize", "a.pel", "b.pel", "--k", "3"])
-    assert args.checker == "incremental"
-    args = parser.parse_args(
-        ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", "full"]
-    )
-    assert args.checker == "full"
+    assert not hasattr(args, "checker")
     with pytest.raises(SystemExit):
         parser.parse_args(
-            ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", "magic"]
+            ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", "full"]
         )
     capsys.readouterr()
 
 
 def test_anonymize_with_full_checker(tmp_path, capsys):
-    """--checker full must produce the same output as the default
-    incremental checker (both consume the rng identically)."""
+    """The CLI's output equals a library run whose check is the
+    full-recompute oracle (both consume the rng identically)."""
+    from repro._oracles import FullRecomputeChecker
+    from repro.core import anonymize
+    from repro.privacy import expected_degree_knowledge
+    from repro.ugraph import read_edge_list, write_edge_list
+
     source = tmp_path / "orig.pel"
     a = tmp_path / "anon-incremental.pel"
     b = tmp_path / "anon-full.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "6"])
     capsys.readouterr()
-    common = ["--method", "me", "--k", "4", "--epsilon", "0.08",
-              "--trials", "2", "--seed", "7"]
-    assert main(["anonymize", str(source), str(a)] + common) == 0
+    assert main(["anonymize", str(source), str(a), "--method", "me",
+                 "--k", "4", "--epsilon", "0.08", "--trials", "2",
+                 "--seed", "7"]) == 0
     capsys.readouterr()
-    assert main(["anonymize", str(source), str(b),
-                 "--checker", "full"] + common) == 0
-    capsys.readouterr()
+    graph = read_edge_list(source)
+    oracle = FullRecomputeChecker(graph, expected_degree_knowledge(graph))
+    result = anonymize(graph, 4, 0.08, method="me", seed=7, n_trials=2,
+                       degree_cache=oracle)
+    write_edge_list(result.graph.dropping_zero_edges(), b)
     assert a.read_text() == b.read_text()
 
 
 def test_backend_flag_rejects_unknown(capsys):
+    """--backend and --engine are gone: argparse rejects them."""
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["evaluate", "a.pel", "b.pel", "--backend", "gpu"])
+    for flag, value in (("--backend", "scipy"), ("--engine", "fresh")):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["evaluate", "a.pel", "b.pel", flag, value])
     capsys.readouterr()
 
 
@@ -236,19 +240,19 @@ def test_pipeline_with_batched_backend(tmp_path, capsys):
     code = main([
         "anonymize", str(source), str(target),
         "--method", "rsme", "--k", "3", "--epsilon", "0.1",
-        "--trials", "2", "--seed", "22", "--backend", "batched-scipy",
+        "--trials", "2", "--seed", "22", "--workers", "1",
     ])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
     assert summary["success"] is True
 
     code = main(["check", str(target), "--k", "3", "--epsilon", "0.1",
-                 "--original", str(source), "--backend", "batched-scipy"])
+                 "--original", str(source), "--workers", "1"])
     capsys.readouterr()
     assert code == 0
 
     code = main(["evaluate", str(source), str(target), "--samples", "40",
-                 "--seed", "23", "--backend", "batched-scipy"])
+                 "--seed", "23", "--workers", "1"])
     rows = json.loads(capsys.readouterr().out)
     assert code == 0
     assert "reliability" in rows
@@ -345,8 +349,11 @@ def test_checkpoint_resume_roundtrip(tmp_path, capsys):
     assert first.read_text() == resumed.read_text()
 
 
-def test_evaluate_backend_equivalence(tmp_path, capsys):
-    """Backend choice must not change seeded evaluate output."""
+def test_evaluate_backend_equivalence(tmp_path, capsys, monkeypatch):
+    """Labeling on the process pool must not change seeded evaluate
+    output."""
+    from repro.reliability import connectivity
+
     source = tmp_path / "orig.pel"
     target = tmp_path / "anon.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "24"])
@@ -354,10 +361,11 @@ def test_evaluate_backend_equivalence(tmp_path, capsys):
           "--k", "3", "--epsilon", "0.1", "--trials", "2", "--seed", "25"])
     capsys.readouterr()
 
+    monkeypatch.setattr(connectivity, "AUTO_PROCESS_CELLS", 0)
     outputs = []
-    for backend in ("scipy", "batched-scipy"):
+    for workers in ("1", "2"):
         code = main(["evaluate", str(source), str(target), "--samples", "40",
-                     "--seed", "26", "--backend", backend])
+                     "--seed", "26", "--workers", workers])
         assert code == 0
         outputs.append(json.loads(capsys.readouterr().out))
     assert outputs[0] == outputs[1]

@@ -34,7 +34,7 @@ class TestValidation:
             {"relevance_samples": 0},
             {"selection_mode": "psychic"},
             {"perturbation_mode": "psychic"},
-            {"connectivity_backend": "gpu"},
+            {"utility_samples": -1},
             {"n_workers": 0},
             {"n_workers": -2},
             {"sigma_initial": 0.0},
@@ -73,14 +73,16 @@ class TestVariants:
         assert cfg.selection_mode == "uniqueness-only"
 
     def test_connectivity_backend_override(self):
-        cfg = variant_config("rsme", connectivity_backend="batched-scipy",
-                             n_workers=4)
-        assert cfg.connectivity_backend == "batched-scipy"
+        """Connectivity has one engine: only the worker count is a knob."""
+        cfg = variant_config("rsme", n_workers=4)
         assert cfg.n_workers == 4
+        with pytest.raises(TypeError):
+            variant_config("rsme", connectivity_backend="batched-scipy")
+        with pytest.raises(TypeError):
+            variant_config("rsme", obfuscation_checker="full")
 
     def test_connectivity_defaults(self):
         cfg = ChameleonConfig()
-        assert cfg.connectivity_backend == "auto"
         assert cfg.n_workers is None
         assert cfg.utility_samples == 0
 

@@ -176,7 +176,7 @@ class TestRuntimeFaultInjection:
         """A poisoned shared-memory attach breaks the first process pool;
         the respawned pool attaches cleanly and the run stays on the
         process rung."""
-        from repro import _shm
+        from repro import _segments
 
         result = repro.anonymize(
             small_profile_graph, seed=3, trial_backend="process",
@@ -184,7 +184,7 @@ class TestRuntimeFaultInjection:
         )
         assert result.trial_retries >= 1
         assert result.degradations == ()
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
 
 class TestAdversarialParameters:

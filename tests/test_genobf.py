@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ChameleonConfig, build_selection_context, gen_obf
-from repro.core.genobf import _edge_noise_scales
+from repro._oracles import FullRecomputeChecker
+from repro.core.parallel import _edge_noise_scales
 from repro.privacy import check_obfuscation, expected_degree_knowledge
 from repro.ugraph import UncertainGraph
 
@@ -164,14 +165,13 @@ class TestCheckerEquivalence:
 
     @pytest.mark.parametrize("sigma", [1e-9, 0.1, 0.5])
     def test_seeded_gen_obf_outcomes_match(self, graph, context, sigma):
-        from dataclasses import replace
-
-        incremental = ChameleonConfig(
+        config = ChameleonConfig(
             k=5, epsilon=0.05, n_trials=3, relevance_samples=150, seed=0
         )
-        full = replace(incremental, obfuscation_checker="full")
-        a = gen_obf(graph, incremental, sigma=sigma, context=context, seed=11)
-        b = gen_obf(graph, full, sigma=sigma, context=context, seed=11)
+        oracle = FullRecomputeChecker(graph, context.knowledge)
+        a = gen_obf(graph, config, sigma=sigma, context=context, seed=11)
+        b = gen_obf(graph, config, sigma=sigma, context=context, seed=11,
+                    cache=oracle)
         assert a.epsilon_achieved == b.epsilon_achieved
         assert a.success == b.success
         if a.success:

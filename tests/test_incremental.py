@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._oracles import FullRecomputeChecker
 from repro.exceptions import ObfuscationError
 from repro.privacy import (
-    OBFUSCATION_CHECKERS,
     DegreeUncertaintyCache,
     check_obfuscation,
     expected_degree_knowledge,
@@ -168,7 +168,23 @@ class TestCacheMechanics:
         assert cache.graph is triangle
 
     def test_checker_registry(self):
-        assert OBFUSCATION_CHECKERS == ("incremental", "full")
+        """The full-recompute oracle answers the cache's trial interface
+        with the same report."""
+        rng = np.random.default_rng(17)
+        graph = random_graph(rng, n_nodes=12, density=0.4)
+        knowledge = expected_degree_knowledge(graph)
+        delta = []
+        while not delta:
+            delta = random_delta(graph, rng)
+        us, vs, p_old, p_new = (np.array(column) for column in zip(*delta))
+        cache = DegreeUncertaintyCache(graph, knowledge=knowledge)
+        oracle = FullRecomputeChecker(graph, knowledge)
+        assert oracle.graph is cache.graph
+        np.testing.assert_array_equal(oracle.knowledge, cache.knowledge)
+        assert_reports_identical(
+            oracle.check_edge_arrays(us, vs, p_old, p_new, 2, 0.3),
+            cache.check_edge_arrays(us, vs, p_old, p_new, 2, 0.3),
+        )
 
 
 class TestDeltaValidation:

@@ -25,7 +25,7 @@ from repro.kernels import (
     fold_pmf_tail,
     truncated_normal_draws,
 )
-from repro.reliability.connectivity import _batched_labels_chunked
+from repro.kernels._numpy import _batched_labels_chunked
 from repro.reliability.union_find import canonical_component_labels
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)

@@ -23,7 +23,8 @@ from repro.core import (
     gen_obf,
     variant_config,
 )
-from repro import _shm
+from repro import _segments
+from repro._oracles import FullRecomputeChecker
 from repro.core import parallel
 from repro.core.parallel import (
     ProcessTrialEngine,
@@ -58,12 +59,7 @@ FAST = dict(
 def _context_and_cache(graph, config, seed=11):
     knowledge = expected_degree_knowledge(graph)
     context = build_selection_context(graph, config, knowledge, seed=seed)
-    cache = (
-        DegreeUncertaintyCache(graph, knowledge=context.knowledge)
-        if config.obfuscation_checker == "incremental"
-        else None
-    )
-    return context, cache
+    return context, DegreeUncertaintyCache(graph, knowledge=context.knowledge)
 
 
 class TestTrialGenerator:
@@ -91,7 +87,7 @@ class TestSharedMemoryBundle:
         try:
             out = _unpack_arrays(shm.name, manifest)
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
         assert set(out) == set(arrays)
         for name, arr in arrays.items():
             assert out[name].dtype == arr.dtype
@@ -107,7 +103,7 @@ class TestSharedMemoryBundle:
                 assert isinstance(dtype, str)
                 assert not any(isinstance(x, np.ndarray) for x in entry)
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
 
     def test_graph_reconstruction_matches(self, small_profile_graph):
         g = small_profile_graph
@@ -152,11 +148,11 @@ class TestWorkerPathEqualsParentPath:
         monkeypatch.setattr(parallel, "_WORKER_STATE", None)
         try:
             _init_trial_worker(
-                shm.name, manifest, graph.n_nodes, config, entropy, True
+                shm.name, manifest, graph.n_nodes, config, entropy
             )
             worker_result = _trial_task((3, 1, 0.5, None))
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
         parent_result = run_trial(
             graph, config, context, 0.5, 3, 1, entropy, cache
         )
@@ -219,10 +215,11 @@ class TestGenObfOnEngine:
         ctx_inc, cache = _context_and_cache(
             small_profile_graph, ChameleonConfig(**FAST)
         )
-        full_config = ChameleonConfig(**FAST, obfuscation_checker="full")
+        oracle = FullRecomputeChecker(small_profile_graph, ctx_inc.knowledge)
         a = gen_obf(small_profile_graph, ChameleonConfig(**FAST), 0.5,
                     ctx_inc, seed=5, cache=cache)
-        b = gen_obf(small_profile_graph, full_config, 0.5, ctx_inc, seed=5)
+        b = gen_obf(small_profile_graph, ChameleonConfig(**FAST), 0.5,
+                    ctx_inc, seed=5, cache=oracle)
         assert a.epsilon_achieved == b.epsilon_achieved
         if a.graph is not None:
             assert a.graph == b.graph
@@ -351,13 +348,13 @@ class TestShmLifecycle:
         )
         assert len(names) == 1
         # Alive while the engine is open ...
-        seg = _shm.attach_segment(names[0])
+        seg = _segments.attach_segment(names[0])
         seg.close()
         engine.close()
         # ... unlinked after close (idempotent).
         engine.close()
         with pytest.raises(FileNotFoundError):
-            _shm.attach_segment(names[0])
+            _segments.attach_segment(names[0])
 
     def test_segment_unlinked_when_pool_breaks(
         self, small_profile_graph, monkeypatch
@@ -393,7 +390,7 @@ class TestShmLifecycle:
             engine.close()
         assert len(names) == 1
         with pytest.raises(FileNotFoundError):
-            _shm.attach_segment(names[0])
+            _segments.attach_segment(names[0])
 
     def test_anonymize_survives_worker_crash_and_unlinks_shm(
         self, small_profile_graph, monkeypatch
@@ -425,7 +422,7 @@ class TestShmLifecycle:
         assert len(names) == 2
         for name in names:
             with pytest.raises(FileNotFoundError):
-                _shm.attach_segment(name)
+                _segments.attach_segment(name)
         assert result.success == reference.success
         assert result.sigma == reference.sigma
         assert [

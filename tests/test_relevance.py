@@ -146,10 +146,8 @@ class TestMergeGainVectorization:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_bit_identical_to_loop(self, seed):
         from repro.reliability.connectivity import batch_component_labels
-        from repro.reliability.relevance import (
-            _merge_gain_accumulate,
-            _merge_gain_accumulate_loop,
-        )
+        from repro._oracles import merge_gain_accumulate_loop
+        from repro.reliability.relevance import _merge_gain_accumulate
         from repro.ugraph.worlds import sample_edge_masks
 
         rng = np.random.default_rng(seed)
@@ -166,7 +164,7 @@ class TestMergeGainVectorization:
         masks = sample_edge_masks(graph, n_samples, seed=rng)
         labels = batch_component_labels(graph, masks)
         fast = _merge_gain_accumulate(graph, masks, labels)
-        slow = _merge_gain_accumulate_loop(graph, masks, labels)
+        slow = merge_gain_accumulate_loop(graph, masks, labels)
         np.testing.assert_array_equal(fast[0], slow[0])
         np.testing.assert_array_equal(fast[1], slow[1])
         assert fast[1].dtype == slow[1].dtype

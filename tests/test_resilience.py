@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import _shm
+from repro import _segments
 from repro.core import (
     ChameleonConfig,
     Chameleon,
@@ -343,7 +343,7 @@ class TestAnonymizeUnderFaults:
             np.testing.assert_array_equal(
                 result.graph.edge_probabilities,
                 reference.graph.edge_probabilities)
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
     def test_degradation_recorded_in_result(self, small_profile_graph):
         """Retries exhausted on the pooled rungs: the run still succeeds
@@ -372,7 +372,7 @@ class TestAnonymizeUnderFaults:
             n_workers=2, fault_plan="crash@0.0;shm", retry_backoff=0.0,
             **FAST
         )
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
 
 # --------------------------------------------------------------------- #
@@ -498,7 +498,7 @@ class TestFingerprintFieldDrift:
     #: drawn from the pipeline RNG *after* the selection context and the
     #: trial entropy, so toggling it cannot perturb any probe.
     EXECUTION_ONLY = frozenset({
-        "trial_backend", "n_workers", "connectivity_backend",
+        "trial_backend", "n_workers",
         "utility_samples", "world_memory_budget", "trial_timeout",
         "max_retries", "retry_backoff", "fault_plan",
         "checkpoint_path", "resume", "seed",
@@ -508,12 +508,12 @@ class TestFingerprintFieldDrift:
     ALTERNATES = {
         "k": 6, "epsilon": 0.25, "size_multiplier": 1.5,
         "white_noise": 0.2, "n_trials": 3, "relevance_samples": 60,
-        "relevance_method": "grouped", "obfuscation_checker": "full",
+        "relevance_method": "grouped",
         "selection_mode": "uniqueness-only", "perturbation_mode": "naive",
         "sigma_initial": 2.0, "sigma_max": 32.0, "sigma_tolerance": 0.05,
         "uniqueness_bandwidth": 0.7, "name": "variant",
         "trial_backend": "thread", "n_workers": 3,
-        "connectivity_backend": "python", "utility_samples": 8,
+        "utility_samples": 8,
         "world_memory_budget": 1 << 20, "trial_timeout": 5.0,
         "max_retries": 7, "retry_backoff": 0.3,
         "fault_plan": "delay@0.5:0.01", "checkpoint_path": "probes.jsonl",
@@ -588,7 +588,7 @@ class TestFingerprintFieldDrift:
                             checkpoint_path=str(path), resume=True, **FAST)
         assert resumed.resumed_probes == resumed.n_genobf_calls
         assert resumed.sigma == reference.sigma
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
     def test_journal_records_are_json(self, small_profile_graph, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -609,20 +609,20 @@ class TestFingerprintFieldDrift:
 
 class TestShmHygiene:
     def test_registry_tracks_and_releases(self):
-        shm = _shm.create_segment(128)
-        assert shm.name in _shm.active_segments()
-        _shm.release_segment(shm)
-        assert shm.name not in _shm.active_segments()
+        shm = _segments.create_segment(128)
+        assert shm.name in _segments.active_segments()
+        _segments.release_segment(shm)
+        assert shm.name not in _segments.active_segments()
 
     def test_release_is_idempotent(self):
-        shm = _shm.create_segment(64)
-        _shm.release_segment(shm)
-        _shm.release_segment(shm)  # must not raise
+        shm = _segments.create_segment(64)
+        _segments.release_segment(shm)
+        _segments.release_segment(shm)  # must not raise
 
     def test_sweep_releases_owned_segments(self):
-        shm = _shm.create_segment(64)
-        assert _shm.sweep_segments("test") >= 1
-        assert shm.name not in _shm.active_segments()
+        shm = _segments.create_segment(64)
+        assert _segments.sweep_segments("test") >= 1
+        assert shm.name not in _segments.active_segments()
 
     def test_orphan_reaper_ignores_live_and_foreign(self, tmp_path):
         # A segment "owned" by a dead pid is reaped; one owned by this
@@ -633,7 +633,7 @@ class TestShmHygiene:
         foreign = tmp_path / "psm_someothersegment"
         for f in (dead, live, foreign):
             f.write_bytes(b"x")
-        report = _shm.reap_orphan_segments(str(tmp_path))
+        report = _segments.reap_orphan_segments(str(tmp_path))
         assert report["reaped"] == [dead.name]
         assert not dead.exists()
         assert live.exists()
@@ -671,7 +671,7 @@ class TestBoundedClose:
         engine.close()
         assert _time.monotonic() - started < 10.0
         del futures
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
     def test_thread_close_logs_wedged_worker_and_returns(
         self, small_profile_graph, caplog

@@ -12,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro._shm import _chained_handler
+from repro._segments import _chained_handler
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -36,7 +36,7 @@ def test_sig_ign_previous_stays_ignored():
     (the old code re-raised under SIG_DFL and died here)."""
     proc = _run(
         "import signal\n"
-        "from repro._shm import _chained_handler\n"
+        "from repro._segments import _chained_handler\n"
         "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
         "_chained_handler(signal.SIGTERM, None, signal.SIG_IGN)\n"
         "print('alive')\n"
@@ -51,8 +51,8 @@ def test_sig_ign_survives_real_signal_through_installed_hooks():
     proc = _run(
         "import os, signal\n"
         "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
-        "from repro import _shm\n"
-        "_shm._install_exit_hooks()\n"
+        "from repro import _segments\n"
+        "_segments._install_exit_hooks()\n"
         "os.kill(os.getpid(), signal.SIGTERM)\n"
         "print('alive')\n"
     )
@@ -65,7 +65,7 @@ def test_default_disposition_reraises_and_kills():
     the correct wait status (killed by SIGTERM, not a clean exit)."""
     proc = _run(
         "import signal\n"
-        "from repro._shm import _chained_handler\n"
+        "from repro._segments import _chained_handler\n"
         "_chained_handler(signal.SIGTERM, None, signal.SIG_DFL)\n"
         "print('unreachable')\n"
     )

@@ -17,6 +17,7 @@ Two contracts are under test:
 
 from __future__ import annotations
 
+import dataclasses
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -24,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _shm
+from repro import _segments, kernels
+from repro._oracles import fresh_reliability_discrepancy
 from repro.core import ChameleonConfig, anonymize
 from repro.exceptions import EstimationError
 from repro.metrics import compare_graphs
@@ -36,7 +38,6 @@ from repro.reliability import (
     graph_delta,
     pair_counts_from_labels,
     reliability_discrepancy,
-    resolve_backend,
     sample_vertex_pairs,
 )
 from repro.reliability import connectivity
@@ -47,7 +48,6 @@ def oracle_labels(store: WorldStore, view: DerivedWorlds) -> np.ndarray:
     """Fresh full relabeling of the view's materialized mask matrix."""
     return component_labels_for_edges(
         store.graph.n_nodes, store._src, store._dst, view.materialize(),
-        backend="batched-scipy",
     )
 
 
@@ -119,7 +119,7 @@ class TestBaseReproduction:
 
     def test_estimator_is_store_backed(self, small_profile_graph):
         est = ReliabilityEstimator(
-            small_profile_graph, n_samples=48, seed=5, backend="batched-scipy"
+            small_profile_graph, n_samples=48, seed=5
         )
         assert est.store.n_samples == 48
         np.testing.assert_array_equal(est.masks, est.store.base_masks)
@@ -136,7 +136,7 @@ class TestDeriveBitIdentity:
     def test_derived_queries_match_full_relabel(self, case, seed):
         graph, delta = case
         store = WorldStore(
-            graph, n_samples=24, seed=seed, backend="batched-scipy"
+            graph, n_samples=24, seed=seed
         )
         view = store.derive(delta)
         ora = oracle_labels(store, view)
@@ -163,11 +163,11 @@ class TestDeriveBitIdentity:
         delta = [d for d in delta if graph.has_edge(d[0], d[1])]
         overlaid = overlay(graph, [(u, v, p_new) for u, v, __, p_new in delta])
         store = WorldStore(
-            graph, n_samples=24, seed=seed, backend="batched-scipy"
+            graph, n_samples=24, seed=seed
         )
         view = store.derive(delta)
         est = ReliabilityEstimator(
-            overlaid, n_samples=24, seed=seed, backend="batched-scipy"
+            overlaid, n_samples=24, seed=seed
         )
         np.testing.assert_array_equal(view.labels, est.labels)
         np.testing.assert_array_equal(view.pair_counts, est.pair_counts)
@@ -184,7 +184,7 @@ class TestDeriveBitIdentity:
 
     def test_removal_to_zero(self, bridge_graph):
         store = WorldStore(
-            bridge_graph, n_samples=40, seed=9, backend="batched-scipy"
+            bridge_graph, n_samples=40, seed=9
         )
         view = store.derive([(2, 3, 0.5, 0.0)])
         ora = oracle_labels(store, view)
@@ -230,7 +230,7 @@ class TestMasksOnlyStore:
     def test_forced_absent_matches_overlay(self, bridge_graph):
         masks = sample_edge_masks(bridge_graph, 32, seed=21)
         store = WorldStore.from_masks(
-            bridge_graph, masks, backend="batched-scipy"
+            bridge_graph, masks
         )
         view = store.derive([(2, 3, 0.5, 0.0)])
         ora = oracle_labels(store, view)
@@ -279,12 +279,10 @@ class TestDiscrepancyEngines:
         other = g.with_probabilities(probs)
         for kwargs in ({}, {"n_pairs": 300}, {"per_pair": False}):
             a = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, backend="batched-scipy",
-                engine="store", **kwargs,
+                g, other, n_samples=40, seed=17, **kwargs,
             )
-            b = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, backend="batched-scipy",
-                engine="fresh", **kwargs,
+            b = fresh_reliability_discrepancy(
+                g, other, n_samples=40, seed=17, **kwargs,
             )
             assert a == b
 
@@ -295,8 +293,9 @@ class TestDiscrepancyEngines:
         assert value == 0.0
 
     def test_unknown_engine_rejected(self, triangle):
-        with pytest.raises(EstimationError, match="engine"):
-            reliability_discrepancy(triangle, triangle, engine="psychic")
+        """The world store is the only engine: no ``engine`` argument."""
+        with pytest.raises(TypeError):
+            reliability_discrepancy(triangle, triangle, engine="fresh")
 
     def test_antithetic_plumbed(self, small_profile_graph):
         value = reliability_discrepancy(
@@ -338,9 +337,9 @@ class TestSuiteAndSigmaSearchWiring:
         assert result["reliability"].original == result["reliability"].anonymized
 
     def test_compare_graphs_rejects_unknown_engine(self, bridge_graph):
-        with pytest.raises(EstimationError, match="engine"):
+        with pytest.raises(TypeError):
             compare_graphs(
-                bridge_graph, bridge_graph, reliability_engine="psychic"
+                bridge_graph, bridge_graph, reliability_engine="fresh"
             )
 
     def test_anonymize_scores_utility(self, small_profile_graph):
@@ -365,20 +364,50 @@ class TestSuiteAndSigmaSearchWiring:
 
 
 class TestAutoBackend:
-    def test_resolution_thresholds(self):
-        assert resolve_backend("auto", 1_000) == "batched-scipy"
-        assert (
-            resolve_backend("auto", connectivity.AUTO_PROCESS_CELLS)
-            == "process"
-        )
-        assert resolve_backend("batched-scipy", 10**12) == "batched-scipy"
+    """The one labeling rule: fan out to the pool only from
+    ``AUTO_PROCESS_CELLS`` mask cells on, and only with > 1 worker."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", 10)
+    @staticmethod
+    def _placements(monkeypatch, graph, n_samples, n_workers):
+        calls = []
+        real = connectivity._process_labels
+
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(connectivity, "_process_labels", spy)
+        masks = sample_edge_masks(graph, n_samples, seed=2)
+        component_labels_for_edges(
+            graph.n_nodes, graph.edge_src, graph.edge_dst, masks,
+            n_workers=n_workers,
+        )
+        return calls
+
+    def test_resolution_thresholds(self, small_profile_graph, monkeypatch):
+        cells = 10 * small_profile_graph.n_edges
+        monkeypatch.setattr(connectivity, "AUTO_PROCESS_CELLS", cells)
+        assert self._placements(
+            monkeypatch, small_profile_graph, 9, n_workers=2
+        ) == []
+        assert self._placements(
+            monkeypatch, small_profile_graph, 10, n_workers=2
+        ) == [2]
+        assert self._placements(
+            monkeypatch, small_profile_graph, 10, n_workers=1
+        ) == []
+
+    def test_unknown_backend_rejected(self, triangle):
+        """No store or estimator takes a ``backend`` argument."""
+        with pytest.raises(TypeError):
+            WorldStore(triangle, n_samples=4, backend="process")
+        with pytest.raises(TypeError):
+            ReliabilityEstimator(triangle, n_samples=4, backend="scipy")
 
     def test_auto_default_in_config(self):
-        assert ChameleonConfig().connectivity_backend == "auto"
+        fields = {f.name for f in dataclasses.fields(ChameleonConfig)}
+        assert "connectivity_backend" not in fields
+        assert ChameleonConfig().n_workers is None
 
 
 class TestSharedMemoryProcessBackend:
@@ -418,8 +447,8 @@ class TestSharedMemoryProcessBackend:
                  shm.name, masks.shape, 2, 7)
             )
         finally:
-            _shm.release_segment(shm)
-        expected = connectivity._batched_labels_chunked(
+            _segments.release_segment(shm)
+        expected = kernels.masked_component_labels(
             small_profile_graph.n_nodes,
             small_profile_graph.edge_src,
             small_profile_graph.edge_dst,
